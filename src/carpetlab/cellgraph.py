@@ -3,8 +3,12 @@
 Vertices of the level-n graph are the N^n words in lexicographic order, so a
 word is identified with its base-N integer index and prefix blocks are
 contiguous index ranges.  All geometric predicates run on integer-scaled
-corners (scale S = k^n * L with L the lcm of translation denominators), which
-keeps graph construction exact and fast.
+corners (scale S = k^n * L with L the lcm of translation denominators, so
+every cell has side L), which keeps graph construction exact.
+
+Construction is array code: cells are bucketed by corner // L (one cell per
+bucket in a valid spec), neighbours are found by ``searchsorted`` on the
+bucket keys, and walls fold onto the level-n graph through the same keys.
 """
 
 from __future__ import annotations
@@ -171,80 +175,76 @@ def _grid_flags(spec: IfsSpec, n: int) -> np.ndarray:
     return flags
 
 
-def _classify_pair(ci, cj, side: int, grid_i: bool, grid_j: bool,
-                   thr_num: int, thr_den: int, L: int, point_contact: bool):
-    """Exact edge decision for two scaled cells. Returns True if adjacent."""
-    lens = [0, 0, 0]
-    degenerate = 0
-    aligned = 0
-    for o in range(3):
-        lo = ci[o] if ci[o] > cj[o] else cj[o]
-        hi = min(ci[o], cj[o]) + side
-        if lo > hi:
-            return False
-        ln = hi - lo
-        lens[o] = ln
-        if ln == 0:
-            degenerate += 1
-        if ci[o] == cj[o]:
-            aligned += 1
-    if grid_i and grid_j:
-        # grid pairs: exact full-face match only
-        return degenerate == 1 and aligned == 2
-    if degenerate == 3:
-        return point_contact
-    if degenerate == 2:  # segment: length > C * k^-n  <=>  len*den > num*L
-        ln = max(lens)
-        return ln * thr_den > thr_num * L
-    if degenerate == 1:  # rectangle: area > C * k^-2n
-        area = 1
-        for ln in lens:
-            if ln > 0:
-                area *= ln
-        return area * thr_den > thr_num * L * L
-    raise SpecError("cells overlap with positive volume; spec is invalid")
+_OVERLAP = "cells overlap with positive volume; spec is invalid"
+
+# the 13 bucket offsets lexicographically above (0, 0, 0): each unordered pair
+# of distinct neighbouring buckets is reached from exactly one of its ends
+_POSITIVE_OFFSETS = [
+    (dx, dy, dz)
+    for dx in (-1, 0, 1)
+    for dy in (-1, 0, 1)
+    for dz in (-1, 0, 1)
+    if (dx, dy, dz) > (0, 0, 0)
+]
+
+
+def _bucket_keys(corners: np.ndarray, side: int, width: int) -> np.ndarray:
+    """Integer key of the bucket corner // side, shifted so offsets of -1 fit."""
+    b = corners // side + 1
+    return (b[:, 0] * width + b[:, 1]) * width + b[:, 2]
 
 
 def _adjacency(corners: np.ndarray, side: int, grid: np.ndarray,
-               threshold: Fraction, L: int, point_contact: bool):
-    """CSR adjacency via spatial hashing of scaled cells (exact decisions)."""
+               threshold: Fraction, point_contact: bool):
+    """CSR adjacency of equal cubes of side ``side`` (exact integer decisions).
+
+    Cells are bucketed by corner // side.  Two cells in one bucket differ by
+    less than a side on every axis and so overlap, hence every bucket of a
+    valid spec holds one cell and touching cells sit in neighbouring buckets.
+    All candidate pairs of one bucket offset are classified at once.
+    """
     count = len(corners)
-    buckets: dict[tuple[int, int, int], list[int]] = {}
-    bidx = corners // side
-    for i in range(count):
-        buckets.setdefault((bidx[i, 0], bidx[i, 1], bidx[i, 2]), []).append(i)
-    thr_num, thr_den = threshold.numerator, threshold.denominator
-    rows: list[list[int]] = [[] for _ in range(count)]
-    corner_list = corners.tolist()
-    grid_list = grid.tolist()
-    offs = [
-        (dx, dy, dz)
-        for dx in (-1, 0, 1)
-        for dy in (-1, 0, 1)
-        for dz in (-1, 0, 1)
-    ]
-    for (bx, by, bz), members in buckets.items():
-        for off in offs:
-            other = buckets.get((bx + off[0], by + off[1], bz + off[2]))
-            if other is None:
-                continue
-            for i in members:
-                ci, gi = corner_list[i], grid_list[i]
-                for j in other:
-                    if j <= i:
-                        continue
-                    if _classify_pair(ci, corner_list[j], side, gi, grid_list[j],
-                                      thr_num, thr_den, L, point_contact):
-                        rows[i].append(j)
-                        rows[j].append(i)
+    width = int(corners.max(initial=0)) // side + 3
+    keys = _bucket_keys(corners, side, width)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    if (sorted_keys[1:] == sorted_keys[:-1]).any():
+        raise SpecError(_OVERLAP)
+    num, den = threshold.numerator, threshold.denominator
+    wide = side * side * max(num, den) >= 2**63  # measures leave int64
+    src, dst = [], []
+    for dx, dy, dz in _POSITIVE_OFFSETS:
+        target = keys + (dx * width + dy) * width + dz
+        pos = np.minimum(np.searchsorted(sorted_keys, target), count - 1)
+        i = np.flatnonzero(sorted_keys[pos] == target)
+        j = order[pos[i]]
+        lens = side - np.abs(corners[i] - corners[j])  # overlap per axis
+        touch = (lens[:, 0] >= 0) & (lens[:, 1] >= 0) & (lens[:, 2] >= 0)
+        i, j, lens = i[touch], j[touch], lens[touch]
+        positive = lens > 0
+        flat = 3 - positive.sum(axis=1)  # number of degenerate axes
+        if (flat == 0).any():
+            raise SpecError(_OVERLAP)
+        # segment length (flat == 2) or rectangle area (flat == 1)
+        measure = np.where(positive, lens, 1).astype(object if wide else np.int64)
+        measure = measure[:, 0] * measure[:, 1] * measure[:, 2]
+        # segment: len > C k^-n  <=>  len*den > num*L; rectangle: area*den > num*L^2
+        edge = np.where(
+            flat == 3,
+            point_contact,
+            np.where(flat == 2, measure * den > num * side,
+                     measure * den > num * side * side),
+        )
+        # grid pairs: exact full-face match only
+        full_face = (flat == 1) & (measure == side * side)
+        edge = np.where(grid[i] & grid[j], full_face, edge)
+        src.append(i[edge])
+        dst.append(j[edge])
+    rows = np.concatenate(src + dst)
     indptr = np.zeros(count + 1, dtype=np.int64)
-    for i, r in enumerate(rows):
-        r.sort()
-        indptr[i + 1] = indptr[i] + len(r)
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    for i, r in enumerate(rows):
-        indices[indptr[i] : indptr[i + 1]] = r
-    return indptr, indices
+    np.cumsum(np.bincount(rows, minlength=count), out=indptr[1:])
+    # row-major order of the (row, column) pairs, neighbours ascending
+    return indptr, np.sort(rows * count + np.concatenate(dst + src)) % count
 
 
 def build_graph(
@@ -270,10 +270,9 @@ def build_graph(
             f"level {n} needs {count} vertices > budget {max_vertices}"
         )
     _, threshold = edge_threshold_constants(spec)
-    corners, scale, L = _scaled_geometry(spec, n)
-    side = L
+    corners, scale, side = _scaled_geometry(spec, n)
     grid = _grid_flags(spec, n)
-    indptr, indices = _adjacency(corners, side, grid, threshold, L, point_contact_edges)
+    indptr, indices = _adjacency(corners, side, grid, threshold, point_contact_edges)
     graph = CellGraph(
         spec=spec,
         n=n,
@@ -519,38 +518,35 @@ def build_wall(
         raise BudgetError(f"wall ({m},{n}) needs {count} vertices > budget")
 
     # scaled level-(m+n) corners of wall cells: prefix * k^n + suffix
-    pm, scale_m, L = _scaled_geometry(spec, m)
+    pm, _, side = _scaled_geometry(spec, m)
     prefix_rows = np.array(
         [word_index(p, spec.N) for p in prefixes], dtype=np.int64
     )
     pm = pm[prefix_rows]
     cn = cell_graph.corners
     corners = np.repeat(pm * (spec.k**n), bs, axis=0) + np.tile(cn, (len(prefixes), 1))
-    side = L
-    scale = scale_m * spec.k**n
 
     suffix_grid = cell_graph.grid_word
     grid = np.tile(suffix_grid, len(prefixes))  # bottom prefixes are grid words
     _, threshold = edge_threshold_constants(spec)
-    indptr, indices = _adjacency(corners, side, grid, threshold, L,
+    indptr, indices = _adjacency(corners, side, grid, threshold,
                                  point_contact_edges)
 
     # fold each wall cell onto its level-n image by integer tent-map algebra
     scale_n = cell_graph.scale
-    corner_lookup = {tuple(c): i for i, c in enumerate(cell_graph.corners.tolist())}
-    fold = np.empty(count, dtype=np.int64)
-    for u, corner in enumerate(corners.tolist()):
-        folded = []
-        for o in range(3):
-            a = corner[o]  # coordinate * scale; after *k^m it is over scale_n
-            j, r = divmod(a, scale_n)
-            if r + side > scale_n:
-                raise SpecError("wall cell straddles a fold line")
-            folded.append(r if j % 2 == 0 else scale_n - r - side)
-        target = corner_lookup.get(tuple(folded))
-        if target is None:
-            raise SpecError("folded wall cell matches no level-n cell")
-        fold[u] = target
+    turns, r = np.divmod(corners, scale_n)
+    if (r + side > scale_n).any():
+        raise SpecError("wall cell straddles a fold line")
+    folded = np.where(turns % 2 == 0, r, scale_n - r - side)
+    # a level-n cell is the only one in its bucket; match buckets, then corners
+    width = max(int(cn.max(initial=0)), int(folded.max(initial=0))) // side + 3
+    cell_keys = _bucket_keys(cn, side, width)
+    order = np.argsort(cell_keys)
+    folded_keys = _bucket_keys(folded, side, width)
+    pos = np.minimum(np.searchsorted(cell_keys[order], folded_keys), len(cn) - 1)
+    fold = order[pos]
+    if not (cn[fold] == folded).all():
+        raise SpecError("folded wall cell matches no level-n cell")
 
     deg_wall = np.diff(indptr)
     deg_cell = cell_graph.degrees[fold]

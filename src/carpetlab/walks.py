@@ -3,7 +3,9 @@
 Kernels are assembled exactly: every transition probability is 1/d for an
 integer d recorded next to the float matrix, so stochasticity, detailed
 balance and the wall-to-cell folding identity can be verified with zero
-residual in rational arithmetic.
+residual.  Kernels are built as arrays from the graph's CSR; the checks are
+integer identities on common denominators, and ``Fraction`` values are formed
+only where an identity fails, so a reported residual is the exact maximum.
 
 The Monte Carlo engine draws each trajectory from its own counter-based
 stream keyed by (master seed, trajectory index), which makes aggregates
@@ -92,10 +94,8 @@ class WalkKernel:
 
 
 def _assemble(rows_u, rows_v, rows_den, size, pi, kind, n, m, graph, wall):
-    order = np.lexsort((rows_v, rows_u))
-    u = np.asarray(rows_u, dtype=np.int64)[order]
-    v = np.asarray(rows_v, dtype=np.int64)[order]
-    den = np.asarray(rows_den, dtype=np.int64)[order]
+    order = np.argsort(rows_u * size + rows_v, kind="stable")
+    u, v, den = rows_u[order], rows_v[order], rows_den[order].astype(np.int64)
     data = 1.0 / den
     indptr = np.searchsorted(u, np.arange(size + 1))
     P = sp.csr_matrix((data, v, indptr), shape=(size, size))
@@ -110,19 +110,11 @@ def build_kernel(graph: CellGraph) -> WalkKernel:
     exactly when w is a border word (pi adds the +1 there).
     """
     pi = walk_measure(graph)
-    bdry = graph.boundary()
-    rows_u, rows_v, rows_den = [], [], []
-    for u in range(graph.num_vertices):
-        den = int(pi[u])
-        for v in graph.neighbors(u):
-            rows_u.append(u)
-            rows_v.append(int(v))
-            rows_den.append(den)
-        if bdry[u]:
-            rows_u.append(u)
-            rows_v.append(u)
-            rows_den.append(den)
-    kernel = _assemble(rows_u, rows_v, rows_den, graph.num_vertices, pi,
+    loops = np.flatnonzero(graph.boundary())
+    rows = np.concatenate([np.repeat(np.arange(graph.num_vertices), graph.degrees),
+                           loops])
+    cols = np.concatenate([graph.indices, loops])
+    kernel = _assemble(rows, cols, pi[rows], graph.num_vertices, pi,
                        "cell", graph.n, None, graph, None)
     _check_rows_exact(kernel)
     return kernel
@@ -133,24 +125,14 @@ def build_wall_kernel(wall: WallGraph) -> WalkKernel:
     self-loop moves shared across (outside_degree + 1) options."""
     pi = wall.pi
     bs = wall.block_size
-    bdry = wall.cell_graph.boundary()[wall.fold]
-    out_deg = wall.outside_degree
-    rows_u, rows_v, rows_den = [], [], []
-    for u in range(wall.num_vertices):
-        base = int(pi[u])
-        shared = base * (int(out_deg[u]) + 1)
-        block = u // bs
-        for v in wall.neighbors(u):
-            same_block = (int(v) // bs) == block
-            rows_u.append(u)
-            rows_v.append(int(v))
-            rows_den.append(base if same_block else shared)
-        if bdry[u]:
-            rows_u.append(u)
-            rows_v.append(u)
-            rows_den.append(shared)
-    kernel = _assemble(rows_u, rows_v, rows_den, wall.num_vertices, pi,
-                       "wall", wall.n, wall.m, None, wall)
+    shared = pi * (wall.outside_degree + 1)
+    loops = np.flatnonzero(wall.cell_graph.boundary()[wall.fold])
+    rows = np.repeat(np.arange(wall.num_vertices), np.diff(wall.indptr))
+    dens = np.where(wall.indices // bs == rows // bs, pi[rows], shared[rows])
+    kernel = _assemble(np.concatenate([rows, loops]),
+                       np.concatenate([wall.indices, loops]),
+                       np.concatenate([dens, shared[loops]]),
+                       wall.num_vertices, pi, "wall", wall.n, wall.m, None, wall)
     _check_rows_exact(kernel)
     return kernel
 
@@ -177,57 +159,87 @@ def _check_rows_exact(kernel: WalkKernel) -> None:
         raise SpecError(f"kernel rows do not sum to 1 exactly (residual {res})")
 
 
-def stochasticity_residual(kernel: WalkKernel) -> Fraction:
-    """Max |row sum - 1| in exact arithmetic (0 for well-formed kernels)."""
+def _exact_entries(kernel: WalkKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, denominator) of every stored entry; denominators > 0."""
     if kernel.dens is None:
         raise SpecError("exact entries not available for this kernel kind")
+    if (kernel.dens <= 0).any():
+        raise SpecError("kernel denominators must be positive")
     indptr = kernel.P.indptr
-    worst = Fraction(0)
-    dens = kernel.dens
-    for u in range(kernel.num_states):
-        total = sum((_mpq(1, int(d)) for d in dens[indptr[u]:indptr[u + 1]]),
-                    _mpq(0))
-        diff = total - 1
-        frac = Fraction(int(diff.numerator), int(diff.denominator))
-        worst = max(worst, abs(frac))
-    return worst
+    rows = np.repeat(np.arange(kernel.num_states), np.diff(indptr))
+    return rows, kernel.P.indices.astype(np.int64), kernel.dens
+
+
+def _exact_ints(bound: int, *arrays: np.ndarray) -> list[np.ndarray]:
+    """The arrays as int64, or as Python ints when ``bound`` leaves int64."""
+    dtype = np.int64 if bound < 2**63 else object
+    return [np.asarray(a).astype(dtype) for a in arrays]
+
+
+def _max_group_sum(starts: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> Fraction:
+    """Exact max over groups of |sum nums/dens|, summed on each group's lcm.
+
+    Group g is entries starts[g]..starts[g+1]-1; denominators are positive.
+    """
+    if len(starts) == 0:
+        return Fraction(0)
+    size = np.diff(np.append(starts, len(dens)))
+    big = int(size.max())
+    bound = int(np.abs(nums).max()) * int(dens.max()) ** big * big
+    nums, dens = _exact_ints(bound, nums, dens)
+    common = np.lcm.reduceat(dens, starts)
+    total = np.add.reduceat(nums * (np.repeat(common, size) // dens), starts)
+    return max((abs(Fraction(int(total[g]), int(common[g])))
+                for g in np.flatnonzero(total != 0)), default=Fraction(0))
+
+
+def stochasticity_residual(kernel: WalkKernel) -> Fraction:
+    """Max |row sum - 1| in exact arithmetic (0 for well-formed kernels).
+
+    Each row is summed on the lcm of its denominators; the -1 rides on the
+    first entry of the row.  An empty row has residual exactly 1.
+    """
+    _, _, dens = _exact_entries(kernel)
+    indptr = kernel.P.indptr.astype(np.int64)
+    filled = np.diff(indptr) > 0
+    starts = indptr[:-1][filled]
+    nums = np.ones(len(dens), dtype=np.int64)
+    nums[starts] -= dens[starts]
+    worst = _max_group_sum(starts, nums, dens)
+    return max(worst, Fraction(1)) if not filled.all() else worst
 
 
 def reversibility_residual(kernel: WalkKernel) -> Fraction:
-    """Max |pi(u)P(u,v) - pi(v)P(v,u)| in exact arithmetic."""
-    if kernel.dens is None:
-        raise SpecError("exact entries not available for this kernel kind")
-    indptr, indices = kernel.P.indptr, kernel.P.indices
-    dens, pi = kernel.dens, kernel.pi
-    entry = {}
-    for u in range(kernel.num_states):
-        for j in range(indptr[u], indptr[u + 1]):
-            entry[(u, int(indices[j]))] = int(dens[j])
-    worst = Fraction(0)
-    for (u, v), den in entry.items():
-        if u > v:
-            continue
-        back = entry.get((v, u))
-        if back is None:
-            return Fraction(1)  # asymmetric support
-        lhs = _mpq(int(pi[u]), den)
-        rhs = _mpq(int(pi[v]), back)
-        diff = lhs - rhs
-        frac = Fraction(int(diff.numerator), int(diff.denominator))
-        worst = max(worst, abs(frac))
-    return worst
+    """Max |pi(u)P(u,v) - pi(v)P(v,u)| in exact arithmetic.
+
+    Each entry meets its transpose through ``searchsorted`` on u*V+v keys and
+    is compared as pi(u)*d_vu == pi(v)*d_uv.  Asymmetric support gives 1.
+    """
+    rows, cols, dens = _exact_entries(kernel)
+    if len(dens) == 0:
+        return Fraction(0)
+    size = kernel.num_states
+    keys = rows * size + cols
+    order = np.argsort(keys, kind="stable")
+    keys, transposed = keys[order], cols * size + rows
+    pos = np.minimum(np.searchsorted(keys, transposed), len(keys) - 1)
+    if (keys[pos] != transposed).any():
+        return Fraction(1)  # asymmetric support
+    back = order[pos]
+    pi = np.asarray(kernel.pi)
+    pi, d_uv = _exact_ints(2 * int(np.abs(pi).max()) * int(dens.max()), pi, dens)
+    d_vu = d_uv[back]
+    diff = pi[rows] * d_vu - pi[cols] * d_uv
+    return max((abs(Fraction(int(diff[j]), int(d_uv[j]) * int(d_vu[j])))
+                for j in np.flatnonzero(diff != 0)), default=Fraction(0))
 
 
 def wall_conductances(kernel: WalkKernel) -> set[Fraction]:
     """Distinct off-diagonal conductance values pi(u)P(u,v) of a wall kernel."""
-    indptr, indices = kernel.P.indptr, kernel.P.indices
-    out = set()
-    for u in range(kernel.num_states):
-        for j in range(indptr[u], indptr[u + 1]):
-            v = int(indices[j])
-            if v != u:
-                out.add(Fraction(int(kernel.pi[u]), int(kernel.dens[j])))
-    return out
+    rows, cols, dens = _exact_entries(kernel)
+    off = rows != cols
+    pairs = np.unique(np.stack([np.asarray(kernel.pi)[rows[off]], dens[off]]), axis=1)
+    return {Fraction(int(p), int(d)) for p, d in pairs.T}
 
 
 def kernel_energy(kernel: WalkKernel, f: np.ndarray) -> float:
@@ -248,26 +260,21 @@ def coupling_check(wall_kernel: WalkKernel, cell_kernel: WalkKernel) -> dict:
     if wall.cell_graph.num_vertices != cell_kernel.num_states:
         raise SpecError("kernel dimensions do not match")
     fold = wall.fold
-    indptr_w, indices_w = wall_kernel.P.indptr, wall_kernel.P.indices
-    dens_w = wall_kernel.dens
-    indptr_c, indices_c = cell_kernel.P.indptr, cell_kernel.P.indices
-    dens_c = cell_kernel.dens
-    worst = Fraction(0)
-    for u in range(wall_kernel.num_states):
-        pushed: dict[int, object] = {}
-        for j in range(indptr_w[u], indptr_w[u + 1]):
-            tgt = int(fold[indices_w[j]])
-            pushed[tgt] = pushed.get(tgt, _mpq(0)) + _mpq(1, int(dens_w[j]))
-        base = int(fold[u])
-        expected = {
-            int(indices_c[j]): _mpq(1, int(dens_c[j]))
-            for j in range(indptr_c[base], indptr_c[base + 1])
-        }
-        keys = set(pushed) | set(expected)
-        for key in keys:
-            diff = pushed.get(key, _mpq(0)) - expected.get(key, _mpq(0))
-            frac = abs(Fraction(int(diff.numerator), int(diff.denominator)))
-            worst = max(worst, frac)
+    size = cell_kernel.num_states
+    # pushed wall entries (u, fold[v], +1/d) against the cell row fold[u]
+    # pulled back to u as (u, v, -1/d); keys u*V+v group both sides
+    rows_w, cols_w, dens_w = _exact_entries(wall_kernel)
+    _, cols_c, dens_c = _exact_entries(cell_kernel)
+    pulled = sp.csr_matrix((dens_c, cols_c, cell_kernel.P.indptr),
+                           shape=cell_kernel.P.shape)[fold]
+    rows_c = np.repeat(np.arange(wall_kernel.num_states), np.diff(pulled.indptr))
+    keys = np.concatenate([rows_w * size + fold[cols_w],
+                           rows_c * size + pulled.indices])
+    order = np.argsort(keys, kind="stable")
+    starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    nums = np.where(order < len(rows_w), 1, -1)
+    dens = np.concatenate([dens_w, pulled.data])[order]
+    worst = _max_group_sum(starts, nums, dens)
     return {"exact_residual": worst, "float_residual": float(worst)}
 
 

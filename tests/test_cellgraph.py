@@ -229,3 +229,23 @@ def test_connectivity_enforced():
     spec = cl.IfsSpec(name="split", k=3, cells=cells)
     with pytest.raises(SpecError, match="disconnected"):
         build_graph(spec, 1)
+
+
+def overlapping_carpet26():
+    """carpet26 plus the cell (0, 0, 1/6), which overlaps two boundary cells."""
+    spec = cl.builtin_spec("carpet26")
+    cells = spec.cells + ((F(0), F(0), F(1, 6)),)
+    return cl.IfsSpec(name="overlap", k=3, cells=cells)
+
+
+def test_overlapping_cells_are_reported():
+    with pytest.raises(SpecError) as info:
+        build_graph(overlapping_carpet26(), 1)
+    assert str(info.value) == "cells overlap with positive volume; spec is invalid"
+
+
+def test_overlap_across_buckets_is_reported():
+    # scaled by L = 6 the corners sit in buckets 0 and 1, yet the cubes overlap
+    cells = ((F(1, 6), F(0), F(0)), (F(1, 3), F(0), F(0)))
+    with pytest.raises(SpecError, match="overlap with positive volume"):
+        build_graph(cl.IfsSpec(name="slide", k=3, cells=cells), 1)

@@ -60,6 +60,17 @@ def test_graph_command_and_cache(config26, tmp_path):
     assert (out / "graph_n2.json").read_bytes() == before
 
 
+def test_graph_overlapping_spec_exits_2(tmp_path, capsys):
+    doc = json.loads(builtin_config("carpet26"))
+    doc["cells"].append(["0/1", "0/1", "1/6"])
+    path = tmp_path / "overlap.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--spec", str(path), "--out", str(tmp_path / "o"), "graph",
+                 "--level", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: cells overlap with positive volume; spec is invalid\n"
+
+
 def test_budget_exit_code(config26, tmp_path):
     assert main(["--spec", config26, "--out", str(tmp_path / "z"),
                  "--max-vertices", "100", "graph", "--level", "2"]) == 3

@@ -1,0 +1,115 @@
+"""Differential oracles for the array-built construction path.
+
+``golden/construction_hashes.json`` holds SHA-256 hashes of graph, wall and
+kernel arrays written by the per-pair reference construction; the current
+code must reproduce them bit for bit.  The level-1 oracle re-derives every
+edge from ``box_intersection`` and the contact rule, pair by pair, and the
+voxel oracle rebuilds on-grid graphs as face graphs of occupied voxels.
+"""
+
+import importlib.util
+import itertools
+import json
+import os
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+import carpetlab as cl
+from carpetlab.cellgraph import build_graph
+from carpetlab.geometry import (
+    SpecError,
+    box_intersection,
+    cell_box,
+    edge_threshold_constants,
+)
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def _hash_module():
+    path = os.path.join(GOLDEN, "construction_hashes.py")
+    spec = importlib.util.spec_from_file_location("construction_hashes", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+hashes = _hash_module()
+with open(os.path.join(GOLDEN, "construction_hashes.json")) as _f:
+    REFERENCE = json.load(_f)
+
+
+def test_reference_covers_every_case():
+    assert sorted(REFERENCE) == sorted(hashes.cases())
+
+
+@pytest.mark.parametrize("case", hashes.cases())
+def test_construction_hashes_match_reference(case):
+    assert hashes.compute(case) == REFERENCE[case]
+
+
+def _oracle_edges(spec, point_contact):
+    """Level-1 edges from exact box intersections and the two-case rule."""
+    _, C = edge_threshold_constants(spec)
+    side = Fraction(1, spec.k)
+    top = 1 - side
+    grid = [any(t == 0 or t == top for t in c) for c in spec.cells]
+    boxes = [cell_box(spec, (i,)) for i in range(spec.N)]
+    edges = set()
+    for i, j in itertools.combinations(range(spec.N), 2):
+        inter = box_intersection(boxes[i], boxes[j])
+        assert inter.kind != "box"
+        if grid[i] and grid[j]:
+            edge = inter.kind == "rectangle" and inter.measure == side * side
+        elif inter.kind == "point":
+            edge = point_contact
+        elif inter.kind == "segment":
+            edge = inter.measure > C * side
+        elif inter.kind == "rectangle":
+            edge = inter.measure > C * side * side
+        else:
+            edge = False
+        if edge:
+            edges |= {(i, j), (j, i)}
+    return edges
+
+
+@pytest.mark.parametrize("point_contact", [True, False])
+@pytest.mark.parametrize("name", ["carpet26", "menger", "offgrid158"])
+def test_level1_edges_match_box_intersection(name, point_contact):
+    spec = cl.builtin_spec(name)
+    g = build_graph(spec, 1, point_contact_edges=point_contact)
+    got = {(u, int(v)) for u in range(g.num_vertices) for v in g.neighbors(u)}
+    assert got == _oracle_edges(spec, point_contact)
+
+
+@pytest.mark.parametrize("name", ["carpet26", "menger"])
+def test_on_grid_graph_is_voxel_face_adjacency(name):
+    # every cell of these specs touches the cube boundary, so every word is a
+    # grid word and the cell graph is the face graph of the occupied voxels
+    spec = cl.builtin_spec(name)
+    g = build_graph(spec, 3)
+    side, count = g.side_scaled, g.num_vertices
+    assert g.grid_word.all() and (g.corners % side == 0).all()
+    ids = np.full((spec.k**3,) * 3, -1)
+    ids[tuple((g.corners // side).T)] = np.arange(count)
+    rows, cols = [], []
+    for axis in range(3):
+        lattice = np.moveaxis(ids, axis, 0)
+        a, b = lattice[:-1], lattice[1:]
+        both = (a >= 0) & (b >= 0)
+        rows += [a[both], b[both]]
+        cols += [b[both], a[both]]
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    assert (np.bincount(rows, minlength=count) == g.degrees).all()
+    assert (np.sort(rows * count + cols) % count == g.indices).all()
+
+
+def test_diagonal_demo_still_rejected():
+    spec = cl.builtin_spec("diagonal_demo")
+    for point_contact in (True, False):
+        with pytest.raises(SpecError,
+                           match="no cell pair with a positive intersection projection"):
+            build_graph(spec, 1, point_contact_edges=point_contact)

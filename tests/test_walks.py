@@ -1,5 +1,6 @@
 """Kernels, coupling, hitting solves, oscillation machinery, Monte Carlo."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,9 +8,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from carpetlab.cellgraph import build_graph, build_wall
 from carpetlab.spectral import dirichlet_energy
 from carpetlab.walks import (
     WalkKernel,
+    build_kernel,
+    build_wall_kernel,
     coupling_check,
     fiber_distribution,
     hitting_time_bands,
@@ -67,6 +71,78 @@ def test_exact_residuals(lab):
     wk = lab.wall_kernel(1, 1)
     assert stochasticity_residual(wk) == 0
     assert reversibility_residual(wk) == 0
+
+
+def _off_diagonal_entry(kernel, u):
+    """Storage index of the first off-diagonal entry of row u."""
+    P = kernel.P
+    row = np.arange(P.indptr[u], P.indptr[u + 1])
+    return int(row[P.indices[row] != u][0])
+
+
+def _with_den(kernel, j, den):
+    dens = kernel.dens.copy()
+    dens[j] = den
+    return dataclasses.replace(kernel, dens=dens)
+
+
+def _without_entry(kernel, j):
+    P = kernel.P
+    keep = np.ones(P.nnz, dtype=bool)
+    keep[j] = False
+    rows = np.repeat(np.arange(kernel.num_states), np.diff(P.indptr))[keep]
+    indptr = np.searchsorted(rows, np.arange(kernel.num_states + 1))
+    Q = sp.csr_matrix((P.data[keep], P.indices[keep], indptr), shape=P.shape)
+    return dataclasses.replace(kernel, P=Q, dens=kernel.dens[keep])
+
+
+def test_exact_checks_report_a_corrupt_cell_entry(lab):
+    k = lab.kernel(2)
+    j = _off_diagonal_entry(k, 0)
+    d = int(k.dens[j])
+    assert d == int(k.pi[0])  # cell rows: 1/pi(u) to every neighbour
+    bad = _with_den(k, j, d + 1)
+    # row 0 loses 1/d - 1/(d+1); its edge had conductance pi(0)/d = 1 both ways
+    assert stochasticity_residual(bad) == F(1, d * (d + 1))
+    assert reversibility_residual(bad) == 1 - F(d, d + 1)
+
+
+def test_exact_checks_report_a_corrupt_wall_entry(lab):
+    wk = lab.wall_kernel(1, 1)
+    ck = lab.kernel(1)
+    j = _off_diagonal_entry(wk, 0)
+    d = int(wk.dens[j])
+    bad = _with_den(wk, j, d + 1)
+    drift = F(1, d) - F(1, d + 1)
+    assert stochasticity_residual(bad) == drift
+    assert reversibility_residual(bad) == int(wk.pi[0]) * drift
+    assert coupling_check(bad, ck)["exact_residual"] == drift
+    assert coupling_check(bad, ck)["float_residual"] == float(drift)
+
+
+@pytest.mark.parametrize("upper", [True, False])
+def test_reversibility_detects_a_missing_transpose(lab, upper):
+    k = lab.kernel(2)
+    rows = np.repeat(np.arange(k.num_states), np.diff(k.P.indptr))
+    side = k.P.indices > rows if upper else k.P.indices < rows
+    j = int(np.flatnonzero(side)[0])
+    assert reversibility_residual(_without_entry(k, j)) == F(1)
+
+
+def test_exact_checks_at_level_zero(spec26):
+    g = build_graph(spec26, 0)
+    assert g.num_vertices == 1 and len(g.indices) == 0
+    k = build_kernel(g)
+    assert k.P.nnz == 1 and int(k.dens[0]) == 1  # the boundary self-loop
+    assert stochasticity_residual(k) == 0
+    assert reversibility_residual(k) == 0
+    wk = build_wall_kernel(build_wall(spec26, 0, 0, cell_graph=g))
+    assert coupling_check(wk, k)["exact_residual"] == 0
+    assert stochasticity_residual(_with_den(k, 0, 3)) == F(2, 3)
+    assert reversibility_residual(_with_den(k, 0, 3)) == 0  # a self-loop
+    empty = _without_entry(k, 0)
+    assert stochasticity_residual(empty) == 1
+    assert reversibility_residual(empty) == 0
 
 
 def test_wall_conductance_values(lab):
