@@ -631,16 +631,27 @@ def load_graph(spec: IfsSpec, path: str) -> CellGraph:
 
 
 def export_adjacency_json(graph: CellGraph) -> str:
-    """Adjacency as JSON for interop: list of neighbor lists in vertex order."""
-    return json.dumps(
-        {
-            "n": graph.n,
-            "N": graph.spec.N,
-            "spec_hash": graph.spec.spec_hash(),
-            "adjacency": [
-                [int(v) for v in graph.neighbors(u)]
-                for u in range(graph.num_vertices)
-            ],
-        },
-        separators=(",", ":"),
-    )
+    """Adjacency as JSON for interop: list of neighbor lists in vertex order.
+
+    The neighbor lists are written as a byte matrix with one line per "[",
+    neighbor or "]" in output order; zero bytes (leading zeros, the comma
+    before a row's first neighbor) are dropped.
+    """
+    head = json.dumps({"n": graph.n, "N": graph.spec.N,
+                       "spec_hash": graph.spec.spec_hash()}, separators=(",", ":"))
+    v, deg, idx = graph.num_vertices, graph.degrees, graph.indices.astype(np.int64)
+    opens = graph.indptr[:-1] + 2 * np.arange(v)
+    neighbors = np.arange(len(idx)) + np.repeat(2 * np.arange(v) + 1, deg)
+    width = len(str(int(idx.max(initial=0))))
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    digits = idx[:, None] // powers
+    chars = np.zeros((len(idx) + 2 * v, width + 1), dtype=np.uint8)
+    chars[neighbors, 0] = ord(",")
+    chars[opens[deg > 0] + 1, 0] = 0
+    chars[neighbors, 1:] = np.where((digits > 0) | (powers == 1),
+                                    digits % 10 + ord("0"), 0)
+    chars[opens[1:], 0] = ord(",")
+    chars[opens, 1] = ord("[")
+    chars[opens + deg + 1, 0] = ord("]")
+    body = chars[chars > 0].tobytes().decode()
+    return f'{head[:-1]},"adjacency":[{body}]}}'

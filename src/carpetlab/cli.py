@@ -481,15 +481,32 @@ def cmd_report(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 2 with one line on stderr, like bad specs."""
+
+    def error(self, message: str):
+        self.exit(2, f"error: {message}\n")
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="carpetlab",
         description="cell-graph laboratory for 3D unconstrained carpets",
     )
     p.add_argument("--spec", required=True, help="carpet config JSON path")
     p.add_argument("--out", default="runs", help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--max-vertices", type=int, default=500_000)
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--no-cache", action="store_true")
@@ -520,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("walk", help="Monte Carlo vs exact hitting times")
     sp.add_argument("--level", type=int, default=2)
-    sp.add_argument("--paths", type=int, default=10_000)
+    sp.add_argument("--paths", type=_positive_int, default=10_000)
     sp.add_argument("--horizon-mult", type=float, default=50.0)
     sp.add_argument("--start", choices=["face", "upper-layer"], default="face",
                     help="oscillation start: the far face or the upper layer")
@@ -529,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("wall", help="wall kernel checks and bottom hitting")
     sp.add_argument("--m", type=int, default=1)
     sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--paths", type=int, default=4000)
+    sp.add_argument("--paths", type=_positive_int, default=4000)
     sp.add_argument("--horizon-mult", type=float, default=50.0)
     sp.set_defaults(func=cmd_wall)
 

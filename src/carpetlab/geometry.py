@@ -531,6 +531,7 @@ def validate(spec: IfsSpec) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
 def edge_threshold_constants(spec: IfsSpec) -> tuple[Fraction, Fraction]:
     """(C', C): projection unit and the contact-measure threshold constant.
 

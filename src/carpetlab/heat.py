@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.spatial import cKDTree
 
 from .cellgraph import CellGraph, _bfs_depths
 from .geometry import SpecError
@@ -467,50 +466,49 @@ def holder_estimate(snapshots: list[KernelSnapshot],
 
 
 def besov_energy(graph: CellGraph, f: np.ndarray, r_list: list[float],
-                 d_h: float, d_w: float, *,
-                 pair_budget: int = 40_000_000) -> dict:
+                 d_h: float, d_w: float) -> dict:
     """Range-r averaged squared increments against the renormalized energy.
 
     I_r = r^(-d_H-d_W) * avg over ordered cell pairs within Euclidean
     distance < r of (f(x)-f(y))^2, with the uniform probability measure on
     cells and center-to-center distances.  Returns the profile and sup.
+
+    The doubled centers 2*scale*c are integers; divided by their gcd they
+    index a lattice carrying the indicator m, f and f^2.  Summed over the
+    symmetric ball of offsets delta, the pair sum is 2*sum [corr(m, f^2) -
+    corr(f, f)](delta), one FFT correlation for every range at once.  The
+    ball rule is the exact integer test |2*scale*(x-y)|^2 < (2*scale*r)^2 - 0.5,
+    restricted to offsets that some pair of cells realizes.
     """
-    k_n = graph.scale / graph.side_scaled  # = k^n
-    side = 1.0 / k_n
-    centers = (graph.corners + graph.side_scaled / 2.0) / graph.scale
-    count = graph.num_vertices
-    tree = cKDTree(centers)
+    radii = sorted(float(r) for r in r_list)
+    side = graph.side_scaled / graph.scale
+    if not radii or radii[0] < side:
+        raise SpecError(f"ranges {radii} must reach the cell resolution {side}")
+    doubled = graph.corners * 2 + graph.side_scaled
+    doubled -= doubled.min(axis=0)
+    g = max(1, int(np.gcd.reduce(doubled.ravel())))
+    lattice = doubled // g
+    # zero padding by the largest ball radius keeps wrap-around out of the ball
+    reach = int(2 * graph.scale * radii[-1] / g) + 1
+    shape = tuple(int(e + min(reach, e - 1)) for e in lattice.max(axis=0) + 1)
+    h = f - f[0]  # increments are unchanged; a constant f gives exactly 0
+    grids = np.zeros((3, *shape))
+    grids[(slice(None), *lattice.T)] = [np.ones(len(h)), h, h * h]
+    m_hat, f_hat, f2_hat = np.fft.rfftn(grids, axes=(1, 2, 3))
+    pairs, corr = np.fft.irfftn(
+        [m_hat.conj() * m_hat, m_hat.conj() * f2_hat - f_hat.conj() * f_hat],
+        s=shape, axes=(1, 2, 3))
+    x, y, z = (np.minimum(np.arange(s), s - np.arange(s)) ** 2 for s in shape)
+    dist_sq = (g * g * (x[:, None, None] + y[:, None] + z)).astype(np.float64)
+    # offsets that no pair of cells realizes hold only FFT round-off
+    dist_sq[pairs < 0.5] = np.inf
+    dist_sq[0, 0, 0] = np.inf  # a cell paired with itself adds 0
     profile = {}
-    scaled = graph.corners * 2 + graph.side_scaled  # 2*scale*center, ints
-    for r in sorted(r_list):
-        if r < side:
-            raise SpecError(f"range {r} below the cell resolution {side}")
-        # expected neighbor count guard
-        est = count * min(1.0, (2.2 * r) ** 3) * 1.2
-        if est > pair_budget:
-            profile[float(r)] = None
-            continue
-        total = 0.0
-        r_scaled_sq = (2 * graph.scale * r) ** 2
-        chunk = max(1, 2_000_000 // max(1, int(est / count + 1)))
-        for lo in range(0, count, chunk):
-            hi = min(count, lo + chunk)
-            neigh = tree.query_ball_point(centers[lo:hi], r * (1 + 1e-9))
-            for i, nb in enumerate(neigh, start=lo):
-                if not nb:
-                    continue
-                nb = np.asarray(nb)
-                diff = scaled[nb] - scaled[i]
-                dist_sq = (diff.astype(np.float64) ** 2).sum(axis=1)
-                strict = nb[dist_sq < r_scaled_sq - 0.5]
-                if len(strict):
-                    dv = f[strict] - f[i]
-                    total += float(dv @ dv)
-        profile[float(r)] = total / count**2 / r ** (d_h + d_w)
-    vals = [v for v in profile.values() if v is not None]
-    if not vals:
-        raise SpecError("no computable ranges within the pair budget")
-    return {"profile": profile, "sup": max(vals)}
+    for r in radii:
+        inside = dist_sq < (2 * graph.scale * r) ** 2 - 0.5
+        total = 2.0 * float(corr[inside].sum())
+        profile[r] = total / graph.num_vertices**2 / r ** (d_h + d_w)
+    return {"profile": profile, "sup": max(profile.values())}
 
 
 def besov_comparison(graph: CellGraph, f: np.ndarray, r_list: list[float],

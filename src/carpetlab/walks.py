@@ -78,16 +78,17 @@ class WalkKernel:
             indptr, indices, data = self.P.indptr, self.P.indices, self.P.data
             deg = np.diff(indptr)
             width = int(deg.max())
-            v = self.num_states
-            cum = np.ones((v, width), dtype=np.float64)
-            tgt = np.zeros((v, width), dtype=np.int64)
-            for u in range(v):
-                lo, hi = indptr[u], indptr[u + 1]
-                c = np.cumsum(data[lo:hi])
-                cum[u, : hi - lo] = c
-                cum[u, hi - lo - 1 :] = 1.0
-                tgt[u, : hi - lo] = indices[lo:hi]
-                tgt[u, hi - lo :] = indices[hi - 1]
+            rows = np.repeat(np.arange(self.num_states), deg)
+            cols = np.arange(len(indices)) - indptr[rows]
+            # row-wise running sums, the last column of each row and the
+            # padding pinned to 1.0; padding targets repeat the last target
+            cum = np.zeros((self.num_states, width), dtype=np.float64)
+            cum[rows, cols] = data
+            cum = np.cumsum(cum, axis=1)
+            cum[np.arange(width) >= deg[:, None] - 1] = 1.0
+            tgt = np.repeat(indices[indptr[1:] - 1].astype(np.int64)[:, None],
+                            width, axis=1)
+            tgt[rows, cols] = indices
             object.__setattr__(self, "_cum", cum)
             object.__setattr__(self, "_tgt", tgt)
         return self._cum, self._tgt

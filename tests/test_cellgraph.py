@@ -1,5 +1,6 @@
 """Cell graphs, walls, face sets, measures, caching."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -221,6 +222,19 @@ def test_cache_roundtrip(tmp_path, lab, spec26):
 def test_export_adjacency(lab):
     doc = export_adjacency_json(lab.graph(1))
     assert '"n":1' in doc.replace(" ", "")
+
+
+@pytest.mark.parametrize("name,n", [("carpet26", 0), ("carpet26", 2),
+                                    ("offgrid158", 1)])
+def test_export_adjacency_matches_json_dumps(name, n):
+    # level 0 has one vertex and an empty neighbor list
+    g = build_graph(cl.builtin_spec(name), n)
+    want = json.dumps(
+        {"n": g.n, "N": g.spec.N, "spec_hash": g.spec.spec_hash(),
+         "adjacency": [[int(v) for v in g.neighbors(u)]
+                       for u in range(g.num_vertices)]},
+        separators=(",", ":"))
+    assert export_adjacency_json(g).encode() == want.encode()
 
 
 def test_connectivity_enforced():

@@ -173,3 +173,34 @@ def test_report_command(config26, tmp_path):
     assert doc["validation"]["pass"]
     assert doc["face_bound"]["pass"]
     assert doc["coupling_residual"] == "0"
+
+
+def _exit_code(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects arguments by exiting
+        return exc.code
+
+
+@pytest.mark.parametrize("args,code", [
+    (["validate"], 0),
+    (["--workers", "2", "walk", "--level", "1", "--paths", "50"], 0),
+    (["walk", "--level", "1", "--paths", "0"], 2),
+    (["walk", "--level", "1", "--paths", "-5"], 2),
+    (["walk", "--level", "1", "--paths", "many"], 2),
+    (["wall", "--paths", "0"], 2),
+    (["--workers", "0", "walk", "--level", "1"], 2),
+    (["--workers", "-1", "wall"], 2),
+    (["--workers", "1.5", "walk", "--level", "1"], 2),
+    (["graph"], 2),
+    (["nonsense"], 2),
+    (["--max-vertices", "100", "graph", "--level", "2"], 3),
+])
+def test_exit_codes(config26, tmp_path, capsys, args, code):
+    argv = ["--spec", config26, "--out", str(tmp_path / "x")] + args
+    assert _exit_code(argv) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+    else:
+        assert err == ""

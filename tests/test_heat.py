@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import carpetlab as cl
 from carpetlab.geometry import SpecError
-from carpetlab.cellgraph import _bfs_depths, walk_measure
+from carpetlab.cellgraph import _bfs_depths, build_graph, walk_measure
 from carpetlab.walks import WalkKernel
 from carpetlab.heat import (
     admissible_centers,
@@ -184,3 +185,42 @@ def test_besov_comparison_brick(lab):
     fb = lab.ws.boundary_linear(1)
     rep = besov_comparison(lab.graph(1), fb.values, [2 / 3], D_H, D_W, 2.6)
     assert rep["ratio"] > 0 and math.isfinite(rep["ratio"])
+
+
+def pair_sum_besov(graph, f, radii, d_h, d_w):
+    """Oracle: every ordered pair of cells, |2*scale*(x-y)|^2 < (2*scale*r)^2 - 0.5."""
+    x = (graph.corners * 2 + graph.side_scaled).astype(np.float64)
+    assert 3 * x.max() ** 2 < 2**52  # the squared distances are exact integers
+    norm = (x * x).sum(axis=1)
+    count = graph.num_vertices
+    totals = np.zeros(len(radii))
+    for lo in range(0, count, 256):
+        hi = min(lo + 256, count)
+        dist_sq = norm[lo:hi, None] + norm[None, lo:] - 2.0 * (x[lo:hi] @ x[lo:].T)
+        # a pair (i, j) with j >= hi also stands for (j, i); the square block
+        # j < hi already holds both orders
+        weight = np.where(np.arange(lo, count) < hi, 1.0, 2.0)
+        sq = (f[lo:hi, None] - f[None, lo:]) ** 2 * weight
+        for i, r in enumerate(radii):
+            inside = dist_sq < (2 * graph.scale * r) ** 2 - 0.5
+            totals[i] += np.add.reduce(sq, axis=None, where=inside)
+    return {r: t / count**2 / r ** (d_h + d_w) for r, t in zip(radii, totals)}
+
+
+@pytest.mark.parametrize("name,n", [("carpet26", 1), ("carpet26", 2),
+                                    ("offgrid158", 1), ("offgrid158", 2)])
+def test_besov_matches_pair_sum(name, n):
+    g = build_graph(cl.builtin_spec(name), n)
+    side = g.side_scaled / g.scale
+    # r = side reaches no other cell; r = 2 exceeds the diameter sqrt(3), so
+    # every ordered pair is in range
+    radii = [side, 1.5 * side, 2 * side, 4 * side, 0.5, 2.0]
+    f = np.random.default_rng(n).standard_normal(g.num_vertices)
+    got = besov_energy(g, f, radii, D_H, D_W)["profile"]
+    want = pair_sum_besov(g, f, radii, D_H, D_W)
+    assert got.keys() == want.keys()
+    for r in radii:
+        assert got[r] == pytest.approx(want[r], rel=1e-12, abs=0), r
+    assert got[side] == 0.0 and got[2.0] > 0
+    const = besov_energy(g, np.full(g.num_vertices, 0.3), radii, D_H, D_W)
+    assert all(v == 0.0 for v in const["profile"].values())

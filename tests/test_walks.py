@@ -455,3 +455,32 @@ def test_lazy_kernel_rows(lab):
     rows = np.asarray(k.P.sum(axis=1)).ravel()
     assert np.allclose(rows, 1.0, atol=1e-14)
     assert (k.P.diagonal() >= 0.5 - 1e-14).all()
+
+
+def _loop_sampling_tables(kernel):
+    """Per-state loop that filled the sampling tables before vectorization."""
+    indptr, indices, data = kernel.P.indptr, kernel.P.indices, kernel.P.data
+    width = int(np.diff(indptr).max())
+    cum = np.ones((kernel.num_states, width), dtype=np.float64)
+    tgt = np.zeros((kernel.num_states, width), dtype=np.int64)
+    for u in range(kernel.num_states):
+        lo, hi = indptr[u], indptr[u + 1]
+        cum[u, : hi - lo] = np.cumsum(data[lo:hi])
+        cum[u, hi - lo - 1 :] = 1.0
+        tgt[u, : hi - lo] = indices[lo:hi]
+        tgt[u, hi - lo :] = indices[hi - 1]
+    return cum, tgt
+
+
+@pytest.mark.parametrize("which", ["cell1", "cell2", "cell3", "wall12", "lazy2"])
+def test_sampling_tables_match_row_loop(lab, which):
+    kernel = {"cell1": lambda: lab.kernel(1), "cell2": lambda: lab.kernel(2),
+              "cell3": lambda: lab.kernel(3),
+              "wall12": lambda: lab.wall_kernel(1, 2),
+              "lazy2": lambda: lazy_kernel(lab.kernel(2), 0.5)}[which]()
+    fresh = dataclasses.replace(kernel, _cum=None, _tgt=None)
+    cum, tgt = fresh.sampling_tables()
+    want_cum, want_tgt = _loop_sampling_tables(kernel)
+    assert cum.dtype == want_cum.dtype and tgt.dtype == want_tgt.dtype
+    assert cum.tobytes() == want_cum.tobytes()
+    assert tgt.tobytes() == want_tgt.tobytes()
