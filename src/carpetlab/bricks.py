@@ -126,7 +126,7 @@ def _pinned_harmonic(graph: CellGraph, zero_mask, one_mask,
         L = laplacian(graph)
         keep = np.nonzero(free)[0]
         rhs = -(L[keep] @ f)
-        x, _ = _solve_pd(L[keep][:, keep].tocsc(), rhs, opts)
+        x, _ = _solve_pd(L[keep][:, keep], rhs, opts)
         f[keep] = x
     if sym:
         f = orbit_symmetrize(graph, f, sym)

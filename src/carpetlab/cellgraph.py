@@ -21,7 +21,7 @@ from math import lcm
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .geometry import (
     IfsSpec,
@@ -298,26 +298,10 @@ def build_graph(
 
 
 def _bfs_depths(graph: CellGraph, start: int | np.ndarray, limit: int | None = None):
-    count = graph.num_vertices
-    depth = np.full(count, -1, dtype=np.int64)
-    if np.isscalar(start):
-        frontier = [int(start)]
-    else:
-        frontier = [int(s) for s in np.atleast_1d(start)]
-    for s in frontier:
-        depth[s] = 0
-    d = 0
-    indptr, indices = graph.indptr, graph.indices
-    while frontier and (limit is None or d < limit):
-        nxt = []
-        for u in frontier:
-            for v in indices[indptr[u] : indptr[u + 1]]:
-                if depth[v] < 0:
-                    depth[v] = d + 1
-                    nxt.append(int(v))
-        frontier = nxt
-        d += 1
-    return depth
+    """Edge distance from the nearest start vertex; -1 beyond ``limit``."""
+    dist = dijkstra(graph.adjacency(), indices=np.atleast_1d(start), unweighted=True,
+                    limit=np.inf if limit is None else limit, min_only=True)
+    return np.where(np.isfinite(dist), dist, -1).astype(np.int64)
 
 
 def graph_distance(graph: CellGraph, u: int, v: int) -> int:

@@ -75,9 +75,23 @@ def _json_default(obj):
     raise TypeError(f"not serializable: {type(obj)}")
 
 
+def _null_undefined(obj):
+    """Replace non-finite floats (undefined statistics) by None, recursively."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {k: _null_undefined(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_null_undefined(v) for v in obj]
+    return obj
+
+
 def _write_json(path: str, payload) -> None:
     with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True, default=_json_default)
+        json.dump(_null_undefined(payload), f, indent=2, sort_keys=True,
+                  allow_nan=False, default=_json_default)
         f.write("\n")
 
 
@@ -299,7 +313,8 @@ def cmd_walk(args) -> int:
         "quick_oscillation": quick_oscillation_check(
             trace, lam, c_hat=float(exact.exact.max() / lam)),
     }
-    print(json.dumps(report, default=_json_default))
+    report = _null_undefined(report)
+    print(json.dumps(report, allow_nan=False, default=_json_default))
     out = _out_dir(args)
     _write_json(os.path.join(out, f"walk_n{args.level}.json"), report)
     _write_json(os.path.join(out, "manifest.json"), _manifest(args, spec, "walk"))

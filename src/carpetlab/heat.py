@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .cellgraph import CellGraph, _bfs_depths
 from .geometry import SpecError
-from .spectral import SolveOptions, DEFAULT_OPTS, dirichlet_energy, laplacian
+from .spectral import SolveOptions, DEFAULT_OPTS, _solve_pd, dirichlet_energy, laplacian
 from .walks import WalkKernel, lazy_kernel
 
 
@@ -203,7 +202,7 @@ def _ball_poincare(graph: CellGraph, pi: np.ndarray, ball: np.ndarray,
     if len(keep) < 3:
         return 0.0
     local_ball = ball[keep]
-    L = laplacian(graph, ball2).tocsc()
+    L = laplacian(graph, ball2)
     pib = pi[keep].astype(float) * local_ball
     mass = pib.sum()
 
@@ -232,12 +231,11 @@ def _ball_poincare(graph: CellGraph, pi: np.ndarray, ball: np.ndarray,
         vals = sla.eigh(A, L_red.toarray(), eigvals_only=True)
         return float(vals[-1])
     # power iteration on L^-1 M (similar to a symmetric PSD operator)
-    lu = spla.splu(L_red.tocsc())
     rng = np.random.default_rng(3)
     x = rng.standard_normal(len(free))
     val = 0.0
     for _ in range(300):
-        y = lu.solve(a_mat(x))
+        y, _ = _solve_pd(L_red, a_mat(x), opts)
         norm = np.linalg.norm(y)
         if norm == 0:
             return 0.0
@@ -257,7 +255,8 @@ class _TentCache:
     def __init__(self, graph: CellGraph, opts: SolveOptions):
         self.graph = graph
         self.opts = opts
-        self.cache: dict[tuple[int, int], tuple[np.ndarray, float]] = {}
+        self.L = laplacian(graph)
+        self.cache: dict[tuple[int, int], np.ndarray] = {}
         self._block_adj: dict[int, sp.csr_matrix] = {}
 
     def block_adjacency(self, m: int) -> sp.csr_matrix:
@@ -275,50 +274,26 @@ class _TentCache:
             self._block_adj[m] = adj
         return self._block_adj[m]
 
-    def tent(self, m: int, block: int) -> tuple[np.ndarray, float]:
+    def tent(self, m: int, block: int) -> np.ndarray:
+        """1 on the block, 0 beyond its block neighbors, harmonic on them.
+
+        Every neighbor of a vertex in a neighbor block lies in the block, a
+        neighbor block or the second block ring, so the level Laplacian's
+        rows there are those of the Laplacian induced on the three.
+        """
         key = (m, block)
         if key not in self.cache:
             g = self.graph
             bs = g.spec.N**m
-            badj = self.block_adjacency(m)
-            ring1 = set(badj[block].indices.tolist())
-            ring2 = set()
-            for b in ring1:
-                ring2.update(badj[b].indices.tolist())
-            ring2 -= ring1 | {block}
-            support_blocks = sorted({block} | ring1)
-            zero_blocks = sorted(ring2)
-            mask = np.zeros(g.num_vertices, dtype=bool)
-            for b in support_blocks + zero_blocks:
-                mask[b * bs : (b + 1) * bs] = True
             psi = np.zeros(g.num_vertices)
-            one = np.zeros(g.num_vertices, dtype=bool)
-            one[block * bs : (block + 1) * bs] = True
-            zero = np.zeros(g.num_vertices, dtype=bool)
-            for b in zero_blocks:
-                zero[b * bs : (b + 1) * bs] = True
-            psi[one] = 1.0
-            inner = mask & ~one & ~zero
-            if inner.any():
-                L = laplacian(self.graph, mask)
-                keep_idx = np.nonzero(mask)[0]
-                pos = {int(gidx): i for i, gidx in enumerate(keep_idx)}
-                f_loc = np.zeros(len(keep_idx))
-                for gidx in np.nonzero(one)[0]:
-                    f_loc[pos[int(gidx)]] = 1.0
-                free = [pos[int(gidx)] for gidx in np.nonzero(inner)[0]]
-                L_ff = L[free][:, free].tocsc()
-                rhs = -(L[free] @ f_loc)
-                from .spectral import _solve_pd
-
-                x, _ = _solve_pd(L_ff, rhs, self.opts)
-                f_loc[free] = x
-                for i, gidx in enumerate(keep_idx):
-                    psi[gidx] = f_loc[i]
-                psi[one] = 1.0
-                psi[zero] = 0.0
-            energy = dirichlet_energy(g, psi)
-            self.cache[key] = (psi, energy)
+            psi[block * bs : (block + 1) * bs] = 1.0
+            ring1 = np.sort(self.block_adjacency(m)[block].indices)
+            free = (ring1[:, None] * bs + np.arange(bs)).ravel()
+            if len(free):
+                rhs = -(self.L[free] @ psi)
+                x, _ = _solve_pd(self.L[free][:, free], rhs, self.opts)
+                psi[free] = x
+            self.cache[key] = psi
         return self.cache[key]
 
 
@@ -377,10 +352,8 @@ def ball_checks(graph: CellGraph, pi: np.ndarray, d_h: float, d_w: float,
             bs = graph.spec.N**m
             blocks = sorted(set((np.nonzero(ball)[0] // bs).tolist()))
             psi = np.zeros(graph.num_vertices)
-            energy = 0.0
             for b in blocks:
-                tent, tent_energy = tents.tent(m, int(b))
-                psi = np.maximum(psi, tent)
+                psi = np.maximum(psi, tents.tent(m, int(b)))
             energy = dirichlet_energy(graph, psi)
             if not (psi[ball] == 1.0).all():
                 raise SpecError("tent cutoff is not 1 on the ball")

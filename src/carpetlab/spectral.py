@@ -16,27 +16,21 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cellgraph import CellGraph, build_graph, neighborhood, word_index
+from .cellgraph import (CellGraph, _bfs_depths, build_graph, middle_layers,
+                        neighborhood, word_index)
 from .geometry import IfsSpec, SpecError, Word
 
 
 @dataclass
 class SolveOptions:
-    """Linear/eigen solver knobs shared across the module."""
+    """Iterative solver knobs shared across the module."""
 
-    method: str = "auto"  # auto | dense | iterative
     tol: float = 1e-10
     maxiter: int = 20000
-    dense_cutoff: int = 2000
 
     def __post_init__(self) -> None:
         if not (0 < self.tol <= 1e-4):
             raise ValueError("tolerance must be in (0, 1e-4]")
-
-    def resolved(self, size: int) -> str:
-        if self.method != "auto":
-            return self.method
-        return "dense" if size <= self.dense_cutoff else "iterative"
 
 
 DEFAULT_OPTS = SolveOptions()
@@ -79,53 +73,32 @@ def laplacian(graph, subset: np.ndarray | None = None) -> sp.csr_matrix:
     return (2.0 * (sp.diags(deg) - adj)).tocsr()
 
 
+def _solve_pd(L: sp.spmatrix, b: np.ndarray, opts: SolveOptions, project=None):
+    """Jacobi-PCG for L x = b to relative residual opts.tol; raises otherwise.
+
+    With ``project`` (onto a subspace that L maps into itself) CG runs on
+    that subspace, where L need only be positive semidefinite.
+    """
+    p = project if project is not None else (lambda v: v)
+    inv = 1.0 / L.diagonal()
+    steps = []
+    A = spla.LinearOperator(L.shape, matvec=lambda v: p(L @ p(v)))
+    M = spla.LinearOperator(L.shape, matvec=lambda v: p(inv * v))
+    x, code = spla.cg(A, b, rtol=opts.tol, maxiter=opts.maxiter, M=M,
+                      callback=lambda _: steps.append(1))
+    x = p(x)
+    res = np.linalg.norm(L @ x - b) / max(np.linalg.norm(b), 1e-300)
+    if code != 0 or not res <= 1e-6:
+        raise RuntimeError(f"CG failed to converge (code {code}, residual {res})")
+    return x, SolveInfo("pcg", len(steps), float(res))
+
+
 def _solve_singular_psd(L: sp.csr_matrix, b: np.ndarray, opts: SolveOptions):
     """Solve L x = b for b orthogonal to constants (x returned mean-free).
 
-    Dense path uses lstsq; iterative path runs Jacobi-preconditioned CG on
-    the mean-zero subspace.  Any solution works for quadratic-form values
-    v.L+ v since v is deflated too.
+    Any solution works for quadratic-form values v.L+ v since v is deflated too.
     """
-    size = L.shape[0]
-    b = b - b.mean()
-    method = opts.resolved(size)
-    if method == "dense":
-        x, *_ = np.linalg.lstsq(L.toarray(), b, rcond=None)
-        res = np.linalg.norm(L @ x - b) / max(np.linalg.norm(b), 1e-300)
-        return x - x.mean(), SolveInfo("dense", 1, float(res))
-    diag = L.diagonal()
-    inv = np.where(diag > 0, 1.0 / np.maximum(diag, 1e-300), 0.0)
-
-    count = {"it": 0}
-
-    def cb(_):
-        count["it"] += 1
-
-    def project(vec):
-        return vec - vec.mean()
-
-    M = spla.LinearOperator(L.shape, matvec=lambda v: project(inv * v))
-    A = spla.LinearOperator(L.shape, matvec=lambda v: project(L @ project(v)))
-    x, code = spla.cg(A, b, rtol=opts.tol, maxiter=opts.maxiter, M=M, callback=cb)
-    if code != 0:
-        raise RuntimeError(f"CG failed to converge (code {code})")
-    res = np.linalg.norm(L @ project(x) - b) / max(np.linalg.norm(b), 1e-300)
-    return project(x), SolveInfo("iterative", count["it"], float(res))
-
-
-def _solve_pd(L: sp.csr_matrix, b: np.ndarray, opts: SolveOptions):
-    size = L.shape[0]
-    method = opts.resolved(size)
-    if method == "dense":
-        x = np.linalg.solve(L.toarray(), b)
-        res = np.linalg.norm(L @ x - b) / max(np.linalg.norm(b), 1e-300)
-        return x, SolveInfo("dense", 1, float(res))
-    lu = spla.splu(L.tocsc())
-    x = lu.solve(b)
-    res = np.linalg.norm(L @ x - b) / max(np.linalg.norm(b), 1e-300)
-    if res > 1e-6:
-        raise RuntimeError(f"sparse LU residual too large: {res}")
-    return x, SolveInfo("splu", 1, float(res))
+    return _solve_pd(L, b - b.mean(), opts, project=lambda v: v - v.mean())
 
 
 # ---------------------------------------------------------------------------
@@ -141,23 +114,60 @@ class PoincareResult:
 
 
 def poincare_constant(graph, opts: SolveOptions = DEFAULT_OPTS) -> PoincareResult:
-    """Largest mean-centered variance at unit energy = 1/gap(2(D-A))."""
+    """Largest mean-centered variance at unit energy = 1/gap(2(D-A)).
+
+    LOBPCG finds the gap against the constant vector, preconditioned by
+    :func:`_word_prefix_preconditioner`, to residual opts.tol * 2 max diag (a
+    bound on ||L||); the gap's error is of the order of that residual squared.
+    """
     L = laplacian(graph)
     size = L.shape[0]
-    if opts.resolved(size) == "dense":
-        vals = np.linalg.eigvalsh(L.toarray())
-        gap = float(vals[1])
-        return PoincareResult(1.0 / gap, gap, SolveInfo("dense", 1, 0.0))
-    scale = float(L.diagonal().max())
-    sigma = -1e-8 * scale
-    vals, vecs = spla.eigsh(L, k=2, sigma=sigma, which="LM")
-    order = np.argsort(vals)
-    gap = float(vals[order[1]])
-    vec = vecs[:, order[1]]
-    res = float(np.linalg.norm(L @ vec - gap * vec) / gap)
-    if gap <= 0:
-        raise RuntimeError("nonpositive spectral gap; graph disconnected?")
-    return PoincareResult(1.0 / gap, gap, SolveInfo("eigsh-shift-invert", 1, res))
+    if size - 1 < 5:  # lobpcg wants 5 unconstrained dimensions per block vector
+        return _dense_poincare(L)
+    tol = opts.tol * 2.0 * float(L.diagonal().max())
+    vals, vecs, history = spla.lobpcg(
+        L, np.random.default_rng(0).standard_normal((size, 1)),
+        M=_word_prefix_preconditioner(L, graph.spec.N, graph.n), Y=np.ones((size, 1)),
+        tol=tol, maxiter=opts.maxiter, largest=False, retResidualNormsHistory=True)
+    gap, vec = float(vals[0]), vecs[:, 0]
+    res = float(np.linalg.norm(L @ vec - gap * vec))
+    if gap <= 0 or res > tol:
+        raise RuntimeError(f"LOBPCG failed (gap {gap}, residual {res}); disconnected?")
+    return PoincareResult(1.0 / gap, gap, SolveInfo("lobpcg", len(history), res / gap))
+
+
+def _dense_poincare(L: sp.csr_matrix) -> PoincareResult:
+    """Gap by dense eigh, for graphs too small for a LOBPCG block."""
+    gap = float(np.linalg.eigvalsh(L.toarray())[1])
+    return PoincareResult(1.0 / gap, gap, SolveInfo("eigh", 1, 0.0))
+
+
+def _word_prefix_preconditioner(L: sp.csr_matrix, N: int, n: int):
+    """M^-1 r = D^-1 r + sum_m P_m A_m^-1 P_m^T r, word lengths m in {n-2, n-1}.
+
+    P_m is constant on each level-m block, the contiguous index range of a
+    word prefix; A_m = P_m^T L P_m, shifted by 1e-10 max diag off
+    singularity, is the only matrix factorized (N^m unknowns).
+    """
+    inv = 1.0 / L.diagonal()
+    coo = L.tocoo()
+    coarse = []
+    for m in range(max(1, n - 2), n):
+        bs = N ** (n - m)
+        A = sp.csc_matrix((coo.data, (coo.row // bs, coo.col // bs)),
+                          shape=(N**m, N**m))
+        A = A + 1e-10 * A.diagonal().max() * sp.identity(N**m, format="csc")
+        coarse.append((bs, spla.splu(A)))
+
+    def matmat(R):
+        R = np.asarray(R).reshape(L.shape[0], -1)
+        out = inv[:, None] * R
+        for bs, lu in coarse:
+            sums = R.reshape(-1, bs, R.shape[1]).sum(axis=1)
+            out += np.repeat(lu.solve(sums), bs, axis=0)
+        return out
+
+    return spla.LinearOperator(L.shape, matvec=matmat, matmat=matmat)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +205,8 @@ def effective_resistance(
     if free.any():
         L = laplacian(graph)
         keep = np.nonzero(free)[0]
-        L_ff = L[keep][:, keep].tocsc()
         rhs = -(L[keep] @ f)
-        x, info = _solve_pd(L_ff, rhs, opts)
+        x, info = _solve_pd(L[keep][:, keep], rhs, opts)
         f[keep] = x
     energy = dirichlet_energy(graph, f)
     if energy <= 0:
@@ -304,9 +313,8 @@ def sigma_pair(
         raise SpecError("two-block graph is disconnected; contact rule anomaly")
     bs = graph.spec.N**m
     a = np.zeros(len(keep))
-    local = {idx: pos for pos, idx in enumerate(keep)}
-    a[[local[i] for i in range(lo1, hi1)]] = 1.0 / bs
-    a[[local[i] for i in range(lo2, hi2)]] = -1.0 / bs
+    a[np.searchsorted(keep, np.arange(lo1, hi1))] = 1.0 / bs
+    a[np.searchsorted(keep, np.arange(lo2, hi2))] = -1.0 / bs
     x, info = _solve_singular_psd(L, a, opts)
     value = graph.spec.N**m * float(a @ x)
     return {
@@ -413,9 +421,8 @@ def pinned_face_gap(
         return {"value": 0.0, "warning": "target face entirely pinned"}
     L = laplacian(graph)
     keep = np.nonzero(free)[0]
-    L_ff = L[keep][:, keep].tocsc()
     a = a_full[keep]
-    x, info = _solve_pd(L_ff, a, opts)
+    x, info = _solve_pd(L[keep][:, keep], a, opts)
     return {"value": float(a @ x), "info": info}
 
 
@@ -452,8 +459,6 @@ def height_ladder_measure(graph: CellGraph) -> dict:
     i-th band wants a cell of B whose lower x1 corner lies in
     [(k^n - i)/k^n, (k^n - i + 1)/k^n).
     """
-    from .cellgraph import middle_layers, _bfs_depths
-
     top = graph.face_set(0, 1)
     middle, _, _ = middle_layers(graph)
     depth = _bfs_depths(graph, np.nonzero(top)[0])
@@ -514,7 +519,7 @@ def average_comparison_report(
             f = (rng.random(count) < 0.3).astype(float)
         else:
             center = rng.integers(count)
-            d = _bfs_for_bump(graph, int(center))
+            d = _bfs_depths(graph, int(center)).astype(float)
             f = np.exp(-(d / max(d.max(), 1)) * 3.0)
         energy = dirichlet_energy(graph, f)
         if energy <= 0:
@@ -522,14 +527,6 @@ def average_comparison_report(
         gap = abs(nu[nonzero] @ f[nonzero] / nu.sum() - f.mean())
         worst = max(worst, gap / math.sqrt(scale * energy))
     return {"empirical_c2_sqrt_c1": worst, "c1": c1}
-
-
-def _bfs_for_bump(graph, center: int) -> np.ndarray:
-    from .cellgraph import _bfs_depths
-
-    d = _bfs_depths(graph, center)
-    d[d < 0] = d.max() + 1
-    return d.astype(float)
 
 
 # ---------------------------------------------------------------------------

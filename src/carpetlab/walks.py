@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from .cellgraph import CellGraph, WallGraph, walk_measure
 from .geometry import SpecError
-from .spectral import SolveOptions, DEFAULT_OPTS, SolveInfo, dirichlet_energy
+from .spectral import SolveOptions, DEFAULT_OPTS, SolveInfo, _solve_pd, dirichlet_energy
 
 try:  # gmpy2 speeds up the exact solves considerably but is optional
     from gmpy2 import mpq as _mpq
@@ -305,19 +305,15 @@ def mean_hitting(kernel: WalkKernel, target: np.ndarray,
     h = np.zeros(kernel.num_states)
     free = ~target
     if free.any():
+        # diag(pi)(I - P_ff) is symmetric because the kernel is reversible
         keep = np.nonzero(free)[0]
-        P_ff = kernel.P[keep][:, keep]
-        A = (sp.identity(len(keep), format="csr") - P_ff).tocsc()
+        pi = kernel.pi[keep].astype(np.float64)
+        A = (sp.diags(pi) @ (sp.identity(len(keep)) - kernel.P[keep][:, keep])).tocsr()
         try:
-            lu = spla.splu(A)
+            x, info = _solve_pd(A, pi, opts)
         except RuntimeError as exc:
             raise SpecError("hitting system is singular; target unreachable") from exc
-        x = lu.solve(np.ones(len(keep)))
-        res = float(np.linalg.norm(A @ x - 1.0) / math.sqrt(len(keep)))
-        if not np.isfinite(x).all():
-            raise SpecError("hitting solve produced non-finite values")
         h[keep] = x
-        info = SolveInfo("splu", 1, res)
     else:
         info = SolveInfo("pinned", 0, 0.0)
     return HittingReport(target=target, exact=h, info=info)

@@ -94,6 +94,21 @@ class ToyGraph:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
 
+@pytest.fixture(scope="session")
+def graph_of(lab):
+    """Graph of a bundled config by name and level, built once per session."""
+    graphs = {}
+
+    def get(name, n):
+        if name == "carpet26":
+            return lab.graph(n)
+        if (name, n) not in graphs:
+            graphs[name, n] = build_graph(cl.builtin_spec(name), n)
+        return graphs[name, n]
+
+    return get
+
+
 @pytest.fixture
 def toy():
     return ToyGraph

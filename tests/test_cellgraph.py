@@ -9,6 +9,7 @@ import pytest
 import carpetlab as cl
 from carpetlab.cellgraph import (
     BudgetError,
+    _bfs_depths,
     adapted_audit,
     bottom_face_prefixes,
     build_graph,
@@ -96,6 +97,36 @@ def test_graph_distance_and_ball(lab):
     assert graph_distance(g, c, far) == 6
     assert graph_ball(g, c, 1).sum() == 1
     assert graph_distance(g, c, c) == 0
+
+
+def _bfs_depths_loop(graph, start, limit=None):
+    """Per-vertex frontier BFS: the reference for the csgraph traversal."""
+    depth = np.full(graph.num_vertices, -1, dtype=np.int64)
+    frontier = [int(s) for s in np.atleast_1d(start)]
+    depth[frontier] = 0
+    d = 0
+    while frontier and (limit is None or d < limit):
+        nxt = []
+        for u in frontier:
+            for v in graph.indices[graph.indptr[u]:graph.indptr[u + 1]]:
+                if depth[v] < 0:
+                    depth[v] = d + 1
+                    nxt.append(int(v))
+        frontier = nxt
+        d += 1
+    return depth
+
+
+@pytest.mark.parametrize("name,n", [("carpet26", 1), ("carpet26", 2), ("carpet26", 3),
+                                    ("offgrid158", 1), ("offgrid158", 2)])
+def test_bfs_depths_match_loop(graph_of, name, n):
+    g = graph_of(name, n)
+    boundary = np.nonzero(g.boundary())[0]
+    for start in (0, g.num_vertices // 2, boundary, boundary[::7]):
+        for limit in (None, 0, 1, 3):
+            got = _bfs_depths(g, start, limit)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, _bfs_depths_loop(g, start, limit))
 
 
 def test_neighborhood(lab):

@@ -195,6 +195,7 @@ def _exit_code(argv):
     (["graph"], 2),
     (["nonsense"], 2),
     (["--max-vertices", "100", "graph", "--level", "2"], 3),
+    (["walk", "--level", "1", "--paths", "1"], 0),
 ])
 def test_exit_codes(config26, tmp_path, capsys, args, code):
     argv = ["--spec", config26, "--out", str(tmp_path / "x")] + args
@@ -204,3 +205,6 @@ def test_exit_codes(config26, tmp_path, capsys, args, code):
         assert err.startswith("error: ") and err.count("\n") == 1, err
     else:
         assert err == ""
+        # artifacts are strict JSON: an undefined statistic is null, not NaN
+        for path in (tmp_path / "x").glob("*.json"):
+            json.loads(path.read_text(), parse_constant=pytest.fail)

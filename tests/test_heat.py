@@ -9,8 +9,10 @@ import scipy.sparse as sp
 import carpetlab as cl
 from carpetlab.geometry import SpecError
 from carpetlab.cellgraph import _bfs_depths, build_graph, walk_measure
+from carpetlab.spectral import DEFAULT_OPTS, laplacian
 from carpetlab.walks import WalkKernel
 from carpetlab.heat import (
+    _ball_poincare,
     admissible_centers,
     ball_checks,
     besov_comparison,
@@ -128,6 +130,26 @@ def test_ball_checks_level3_smoke(lab):
     # tent certificates are asserted inside ball_checks; row sanity here
     for row in rep.rows:
         assert row["volume_ratio"] > 0
+
+
+def test_ball_poincare_large_ball(lab):
+    # a double ball of 1399 vertices takes the PCG power iteration, checked
+    # against the dense generalized eigenproblem
+    import scipy.linalg as sla
+
+    g = lab.graph(3)
+    pi = walk_measure(g)
+    center = int(np.argmax(_bfs_depths(g, np.nonzero(g.boundary())[0])))
+    depth = _bfs_depths(g, center)
+    ball, ball2 = (depth >= 0) & (depth < 6), (depth >= 0) & (depth < 12)
+    assert ball2.sum() > 1201
+    keep = np.nonzero(ball2)[0]
+    pib = pi[keep].astype(float) * ball[keep]
+    variance = np.diag(pib) - np.outer(pib, pib) / pib.sum()
+    L = laplacian(g, ball2).toarray()
+    dense = sla.eigh(variance[1:, 1:], L[1:, 1:], eigvals_only=True)[-1]
+    got = _ball_poincare(g, pi, ball, ball2, DEFAULT_OPTS)
+    assert got == pytest.approx(dense, rel=1e-6)
 
 
 def test_ball_checks_requires_clearance(lab):

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from carpetlab.geometry import SpecError, axis_swap
 from carpetlab.cellgraph import word_permutation
@@ -65,9 +66,60 @@ def test_poincare_toy_values(toy):
 
 def test_poincare_dense_vs_iterative(lab):
     g = lab.graph(2)
-    dense = poincare_constant(g, SolveOptions(method="dense"))
-    it = poincare_constant(g, SolveOptions(method="iterative"))
-    assert abs(dense.value - it.value) <= 1e-8 * dense.value
+    dense = 1.0 / np.linalg.eigvalsh(laplacian(g).toarray())[1]
+    it = poincare_constant(g)
+    assert it.info.method == "lobpcg"
+    assert abs(dense - it.value) <= 1e-8 * dense
+
+
+# Oracles for the iterative solvers: dense eigvalsh/solve/lstsq on small
+# graphs, sparse LU (and shift-invert, which factorizes) on the larger ones.
+DIFF_CASES = [("carpet26", 1, "dense"), ("carpet26", 2, "dense"),
+              ("menger", 1, "dense"), ("menger", 2, "dense"),
+              ("offgrid158", 1, "dense"),
+              ("carpet26", 3, "splu"), ("offgrid158", 2, "splu")]
+
+
+def _oracle_solve(kind, A, b):
+    if kind == "dense":
+        return np.linalg.solve(A.toarray(), b)
+    return spla.splu(A.tocsc()).solve(b)
+
+
+def _oracle_gap(kind, L):
+    if kind == "dense":
+        return np.linalg.eigvalsh(L.toarray())[1]
+    vals = spla.eigsh(L, k=2, sigma=-1e-8 * L.diagonal().max(), which="LM",
+                      return_eigenvectors=False)
+    return np.sort(vals)[1]
+
+
+def _oracle_pinv_form(kind, L, v):
+    """v.L+ v for v orthogonal to the constants."""
+    if kind == "dense":
+        return v @ np.linalg.lstsq(L.toarray(), v, rcond=None)[0]
+    # grounding vertex 0 leaves a solution of L x = v, since sum(v) = 0
+    return v[1:] @ _oracle_solve(kind, L[1:, 1:], v[1:])
+
+
+@pytest.mark.parametrize("name,n,kind", DIFF_CASES)
+def test_solvers_match_oracles(graph_of, name, n, kind):
+    g = graph_of(name, n)
+    L = laplacian(g)
+    assert poincare_constant(g).gap == pytest.approx(_oracle_gap(kind, L), rel=1e-8)
+    zero, one = g.face_set(0, 0), g.face_set(0, 1)
+    f = one.astype(float)
+    free = ~(zero | one)
+    f[free] = _oracle_solve(kind, L[free][:, free], -(L[free] @ f))
+    assert face_resistance(g).value == pytest.approx(1.0 / (f @ (L @ f)), rel=1e-8)
+    target = g.face_set(1, 0)
+    a = target[~zero] / target.sum()
+    pinned = a @ _oracle_solve(kind, L[~zero][:, ~zero], a)
+    assert pinned_face_gap(g)["value"] == pytest.approx(pinned, rel=1e-8)
+    fg = face_gap_constants(g)
+    for key, other in (("adjacent", g.face_set(1, 0)), ("opposite", one)):
+        v = zero / zero.sum() - other / other.sum()
+        assert fg[key] == pytest.approx(_oracle_pinv_form(kind, L, v), rel=1e-8)
 
 
 def test_resistance_toy_values(toy):

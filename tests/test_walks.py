@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from carpetlab.cellgraph import build_graph, build_wall
 from carpetlab.spectral import dirichlet_energy
@@ -225,6 +226,27 @@ def test_mean_hitting_rational_oracle(lab):
     ex = mean_hitting_exact_rational(k, target)
     for u in range(26):
         assert abs(flt.exact[u] - float(ex[u])) < 1e-9 * max(1.0, float(ex[u]))
+
+
+@pytest.mark.parametrize("name,n,kind", [
+    ("carpet26", 1, "dense"), ("carpet26", 2, "dense"), ("menger", 1, "dense"),
+    ("menger", 2, "dense"), ("offgrid158", 1, "dense"),
+    ("carpet26", 3, "splu"), ("offgrid158", 2, "splu")])
+def test_mean_hitting_matches_oracle(graph_of, name, n, kind):
+    # the unscaled killed system (I - P_ff) h = 1, solved by a dense or LU oracle
+    g = graph_of(name, n)
+    target = g.face_set(0, 0)
+    k = build_kernel(g)
+    A = sp.identity(int((~target).sum())) - k.P[~target][:, ~target]
+    ones = np.ones(A.shape[0])
+    if kind == "dense":
+        h = np.linalg.solve(A.toarray(), ones)
+    else:
+        h = spla.splu(A.tocsc()).solve(ones)
+    rep = mean_hitting(k, target)
+    assert rep.info.method == "pcg"
+    assert np.abs(rep.exact[~target] - h).max() <= 1e-8 * h.min()
+    assert (rep.exact[target] == 0).all()
 
 
 def test_mean_hitting_symmetry(lab):
