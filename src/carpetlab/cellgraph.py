@@ -360,33 +360,6 @@ def adapted_audit(spec: IfsSpec, n: int, l_star: int,
     return {"l_star": l_star, "pass": not violations, "violations": violations[:10]}
 
 
-def interface_sets(graph: CellGraph, w: Word, w2: Word) -> tuple[list[Word], np.ndarray]:
-    """Suffix set J and vertex set I of the w-side interface toward w2.
-
-    J collects the level-(n-m) suffixes eta with w.eta adjacent to the w2
-    block in the level-n graph; I = w.J as a boolean vertex mask.  The order
-    of (w, w2) matters.
-    """
-    m = len(w)
-    if len(w2) != m:
-        raise SpecError("interface words must have equal length")
-    lo_w, hi_w = graph.block_range(w)
-    lo_v, hi_v = graph.block_range(w2)
-    if lo_w == lo_v:
-        raise SpecError("interface requires distinct words")
-    mask = np.zeros(graph.num_vertices, dtype=bool)
-    suffixes: list[Word] = []
-    size = hi_w - lo_w
-    for u in range(lo_w, hi_w):
-        nbr = graph.neighbors(u)
-        if ((nbr >= lo_v) & (nbr < hi_v)).any():
-            mask[u] = True
-            suffixes.append(index_word(u - lo_w, graph.n - m, graph.spec.N))
-    if not mask.any():
-        raise SpecError("blocks are not adjacent at this level")
-    return suffixes, mask
-
-
 def word_permutation(graph: CellGraph, g: Isometry) -> np.ndarray:
     """Vertex permutation induced by an isometry (digitwise relabeling)."""
     dm = np.array(digit_map(graph.spec, g), dtype=np.int64)
@@ -555,10 +528,6 @@ def build_wall(
     )
 
 
-def wall_measure(wall: WallGraph) -> np.ndarray:
-    return wall.pi
-
-
 # ---------------------------------------------------------------------------
 # graph cache
 # ---------------------------------------------------------------------------
@@ -586,32 +555,40 @@ def save_graph(graph: CellGraph, path: str) -> None:
 
 
 def load_graph(spec: IfsSpec, path: str) -> CellGraph:
-    """Load a cached graph; raises on magic/version/spec-hash mismatch."""
-    with open(path, "rb") as f:
-        if f.read(4) != CACHE_MAGIC:
-            raise SpecError("bad cache magic")
-        version, blob_len = struct.unpack("<II", f.read(8))
-        if version != CACHE_VERSION:
-            raise SpecError(f"cache version {version} != {CACHE_VERSION}")
-        meta = json.loads(f.read(blob_len))
-        if meta["spec_hash"] != spec.spec_hash():
-            raise SpecError("cache spec hash mismatch; rebuild required")
-        indptr = np.load(f, allow_pickle=False)
-        indices = np.load(f, allow_pickle=False)
-        corners = np.load(f, allow_pickle=False)
-        grid = np.load(f, allow_pickle=False)
-    return CellGraph(
-        spec=spec,
-        n=int(meta["n"]),
-        indptr=indptr,
-        indices=indices,
-        corners=corners,
-        scale=int(meta["scale"]),
-        side_scaled=int(meta["side"]),
-        grid_word=grid,
-        threshold=parse_rational(meta["C"]),
-        point_contact_edges=bool(meta["point_contact_edges"]),
-    )
+    """Load a cached graph.
+
+    Raises :class:`SpecError` on a magic, version or spec-hash mismatch and
+    on any file that does not decode (truncated or garbled), so callers can
+    treat every unusable cache as a miss.
+    """
+    try:
+        with open(path, "rb") as f:
+            if f.read(4) != CACHE_MAGIC:
+                raise SpecError("bad cache magic")
+            version, blob_len = struct.unpack("<II", f.read(8))
+            if version != CACHE_VERSION:
+                raise SpecError(f"cache version {version} != {CACHE_VERSION}")
+            meta = json.loads(f.read(blob_len))
+            if meta["spec_hash"] != spec.spec_hash():
+                raise SpecError("cache spec hash mismatch; rebuild required")
+            indptr, indices, corners, grid = (np.load(f, allow_pickle=False)
+                                              for _ in range(4))
+        return CellGraph(
+            spec=spec,
+            n=int(meta["n"]),
+            indptr=indptr,
+            indices=indices,
+            corners=corners,
+            scale=int(meta["scale"]),
+            side_scaled=int(meta["side"]),
+            grid_word=grid,
+            threshold=parse_rational(meta["C"]),
+            point_contact_edges=bool(meta["point_contact_edges"]),
+        )
+    except SpecError:
+        raise
+    except (struct.error, ValueError, KeyError, TypeError, EOFError) as exc:
+        raise SpecError(f"unreadable graph cache: {exc}") from exc
 
 
 def export_adjacency_json(graph: CellGraph) -> str:

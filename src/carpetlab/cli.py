@@ -294,8 +294,7 @@ def cmd_walk(args) -> int:
         exact_ref = float(exact.exact[far].mean())
     horizon = max(int(args.horizon_mult * lam), int(20 * exact.exact.max()))
     sim = simulate(kernel, start, paths=args.paths, horizon=horizon,
-                   seed=args.seed, workers=args.workers,
-                   oscillation=(target, graph.face_set(0, 1)))
+                   seed=args.seed, oscillation=(target, graph.face_set(0, 1)))
     trace = oscillation_stats(sim)
     report = {
         "level": args.level,
@@ -333,7 +332,7 @@ def cmd_wall(args) -> int:
     coupling = coupling_check(wall_kernel, cell_kernel)
     horizon = int(args.horizon_mult * lam * (spec.k ** args.m + 1))
     rep = wall_hitting_report(wall_kernel, paths=args.paths, seed=args.seed,
-                              horizon=horizon, workers=args.workers)
+                              horizon=horizon)
     doc = {
         "m": args.m,
         "n": args.n,
@@ -521,7 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True, help="carpet config JSON path")
     p.add_argument("--out", default="runs", help="output directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--max-vertices", type=int, default=500_000)
     p.add_argument("--tolerance", type=float, default=1e-10)
     p.add_argument("--no-cache", action="store_true")

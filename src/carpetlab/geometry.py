@@ -132,8 +132,9 @@ def _corner_index(spec: IfsSpec) -> dict[Vec3, int]:
 def parse_spec(text: str) -> IfsSpec:
     """Parse a carpet config document (see README for the JSON schema).
 
-    Structural problems (bad rationals, out-of-range translations, duplicate
-    cells, k < 3) raise :class:`SpecError`.  The N-bounds condition is *not*
+    Structural problems (a wrong type for ``k`` or ``cells``, bad rationals,
+    out-of-range translations, duplicate cells, k < 3) raise
+    :class:`SpecError`.  The N-bounds condition is *not*
     enforced here; it is reported by :func:`validate` so that undersized
     carpets (e.g. the Menger sponge) can still be analyzed for their failure
     witnesses.
@@ -142,24 +143,18 @@ def parse_spec(text: str) -> IfsSpec:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SpecError("config must be a JSON object")
     for key in ("k", "cells"):
         if key not in doc:
             raise SpecError(f"config missing required key {key!r}")
-    cells = tuple(
-        tuple(parse_rational(t) for t in cell) for cell in doc["cells"]
-    )
-    return IfsSpec(name=str(doc.get("name", "carpet")), k=int(doc["k"]), cells=cells)
-
-
-def dump_spec(spec: IfsSpec) -> str:
-    return json.dumps(
-        {
-            "name": spec.name,
-            "k": spec.k,
-            "cells": [[format_rational(t) for t in c] for c in spec.cells],
-        },
-        indent=2,
-    )
+    k, cells = doc["k"], doc["cells"]
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise SpecError(f"k must be an integer, got {k!r}")
+    if not isinstance(cells, list) or not all(isinstance(c, list) for c in cells):
+        raise SpecError("cells must be a list of [x1, x2, x3] translations")
+    cells = tuple(tuple(parse_rational(t) for t in cell) for cell in cells)
+    return IfsSpec(name=str(doc.get("name", "carpet")), k=k, cells=cells)
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +223,6 @@ def box_intersection(a: Box, b: Box) -> Intersection:
                 measure *= ln
     corner = (los[0], los[1], los[2])
     return Intersection(kind, measure, corner, tuple(lens))
-
-
-def box_distance_squared(a: Box, b: Box) -> Fraction:
-    """Squared Euclidean distance between two boxes (0 if they touch)."""
-    total = Fraction(0)
-    for o in range(3):
-        gap = max(a.corner[o], b.corner[o]) - min(a.corner[o] + a.side, b.corner[o] + b.side)
-        if gap > 0:
-            total += gap * gap
-    return total
 
 
 def _sqrt_lower_bound(q: Fraction) -> Fraction:

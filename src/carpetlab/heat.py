@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .cellgraph import CellGraph, _bfs_depths
@@ -156,29 +157,6 @@ def subgaussian_fit(snapshots: list[KernelSnapshot], d_h: float, d_w: float,
     )
 
 
-def shell_monotonicity_report(snapshot: KernelSnapshot,
-                              distances: dict[int, np.ndarray]) -> dict:
-    """Fraction of distance shells where the angular average increases."""
-    bad = 0
-    total = 0
-    for s, row in snapshot.rows.items():
-        dist = distances[s]
-        dmax = int(dist.max())
-        prev = None
-        for d in range(dmax + 1):
-            sel = dist == d
-            if not sel.any():
-                continue
-            cur = row[sel].mean()
-            if prev is not None and prev > 0:
-                total += 1
-                if cur > prev * (1 + 1e-9):
-                    bad += 1
-            prev = cur
-    return {"violations": bad, "shells": total,
-            "fraction": bad / total if total else 0.0}
-
-
 # ---------------------------------------------------------------------------
 # ball checks on the level slice
 # ---------------------------------------------------------------------------
@@ -197,42 +175,32 @@ class BallCheckReport:
 
 def _ball_poincare(graph: CellGraph, pi: np.ndarray, ball: np.ndarray,
                    ball2: np.ndarray, opts: SolveOptions) -> float:
-    """Worst-f variance-on-B over energy-on-2B (generalized eigenvalue)."""
+    """Worst-f variance-on-B over energy-on-2B (generalized eigenvalue).
+
+    The variance form in pi-weights is diag(p) - p p^T / mass, with p equal
+    to pi on B and 0 on the rest of 2B.  Both forms are constant-invariant,
+    so pinning the first vertex of 2B to 0 leaves the sup unchanged.
+    """
     keep = np.nonzero(ball2)[0]
     if len(keep) < 3:
         return 0.0
-    local_ball = ball[keep]
-    L = laplacian(graph, ball2)
-    pib = pi[keep].astype(float) * local_ball
+    pib = pi[keep].astype(float) * ball[keep]
     mass = pib.sum()
+    p = pib[1:]
+    L_red = laplacian(graph, ball2)[1:, 1:]
+    if len(p) <= 1200:
+        A = np.diag(p) - np.outer(p, p) / mass
+        top = len(p) - 1
+        vals = sla.eigh(A, L_red.toarray(), eigvals_only=True,
+                        subset_by_index=[top, top])
+        return float(vals[0])
 
-    def m_op(f):
-        avg = (pib @ f) / mass
-        return pib * (f - avg)
+    def a_mat(f):
+        return p * (f - (p @ f) / mass)
 
-    # quotient out constants by pinning the first vertex (both forms are
-    # constant-invariant, so the sup is unchanged)
-    free = np.arange(1, len(keep))
-
-    def a_mat(f_red):
-        f = np.zeros(len(keep))
-        f[free] = f_red
-        return m_op(f)[free]
-
-    L_red = L[free][:, free]
-    if len(free) <= 1200:
-        A = np.zeros((len(free), len(free)))
-        for j in range(len(free)):
-            e = np.zeros(len(free))
-            e[j] = 1.0
-            A[:, j] = a_mat(e)
-        import scipy.linalg as sla
-
-        vals = sla.eigh(A, L_red.toarray(), eigvals_only=True)
-        return float(vals[-1])
     # power iteration on L^-1 M (similar to a symmetric PSD operator)
     rng = np.random.default_rng(3)
-    x = rng.standard_normal(len(free))
+    x = rng.standard_normal(len(p))
     val = 0.0
     for _ in range(300):
         y, _ = _solve_pd(L_red, a_mat(x), opts)
@@ -256,7 +224,7 @@ class _TentCache:
         self.graph = graph
         self.opts = opts
         self.L = laplacian(graph)
-        self.cache: dict[tuple[int, int], np.ndarray] = {}
+        self.cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._block_adj: dict[int, sp.csr_matrix] = {}
 
     def block_adjacency(self, m: int) -> sp.csr_matrix:
@@ -274,26 +242,28 @@ class _TentCache:
             self._block_adj[m] = adj
         return self._block_adj[m]
 
-    def tent(self, m: int, block: int) -> np.ndarray:
-        """1 on the block, 0 beyond its block neighbors, harmonic on them.
+    def tent(self, m: int, block: int) -> tuple[np.ndarray, np.ndarray]:
+        """Indices and values of the tent on the block and its block ring.
 
-        Every neighbor of a vertex in a neighbor block lies in the block, a
-        neighbor block or the second block ring, so the level Laplacian's
-        rows there are those of the Laplacian induced on the three.
+        The tent is 1 on the block, harmonic on the neighbor blocks and 0
+        beyond them.  Every neighbor of a vertex in a neighbor block lies in
+        the block, a neighbor block or the second block ring, so the level
+        Laplacian's rows there are those of the Laplacian induced on the
+        three.
         """
         key = (m, block)
         if key not in self.cache:
-            g = self.graph
-            bs = g.spec.N**m
-            psi = np.zeros(g.num_vertices)
-            psi[block * bs : (block + 1) * bs] = 1.0
+            bs = self.graph.spec.N**m
+            inside = np.arange(block * bs, (block + 1) * bs)
             ring1 = np.sort(self.block_adjacency(m)[block].indices)
             free = (ring1[:, None] * bs + np.arange(bs)).ravel()
+            x = np.zeros(0)
             if len(free):
-                rhs = -(self.L[free] @ psi)
-                x, _ = _solve_pd(self.L[free][:, free], rhs, self.opts)
-                psi[free] = x
-            self.cache[key] = psi
+                rows = self.L[free]
+                rhs = -np.asarray(rows[:, inside].sum(axis=1)).ravel()
+                x, _ = _solve_pd(rows[:, free], rhs, self.opts)
+            self.cache[key] = (np.concatenate([inside, free]),
+                               np.concatenate([np.ones(bs), x]))
         return self.cache[key]
 
 
@@ -353,7 +323,8 @@ def ball_checks(graph: CellGraph, pi: np.ndarray, d_h: float, d_w: float,
             blocks = sorted(set((np.nonzero(ball)[0] // bs).tolist()))
             psi = np.zeros(graph.num_vertices)
             for b in blocks:
-                psi = np.maximum(psi, tents.tent(m, int(b)))
+                idx, vals = tents.tent(m, int(b))
+                psi[idx] = np.maximum(psi[idx], vals)
             energy = dirichlet_energy(graph, psi)
             if not (psi[ball] == 1.0).all():
                 raise SpecError("tent cutoff is not 1 on the ball")

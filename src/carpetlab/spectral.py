@@ -16,8 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .cellgraph import (CellGraph, _bfs_depths, build_graph, middle_layers,
-                        neighborhood, word_index)
+from .cellgraph import CellGraph, build_graph, neighborhood, word_index
 from .geometry import IfsSpec, SpecError, Word
 
 
@@ -424,109 +423,6 @@ def pinned_face_gap(
     a = a_full[keep]
     x, info = _solve_pd(L[keep][:, keep], a, opts)
     return {"value": float(a @ x), "info": info}
-
-
-# ---------------------------------------------------------------------------
-# measures for the averaging bound
-# ---------------------------------------------------------------------------
-
-
-def block_measure_constant(graph: CellGraph, nu: np.ndarray) -> float:
-    """Smallest C with nu(block)/nu(all) <= C k^-m over all levels/blocks."""
-    total = float(nu.sum())
-    if total <= 0:
-        raise SpecError("measure must have positive mass")
-    N, k, n = graph.spec.N, graph.spec.k, graph.n
-    best = 0.0
-    for m in range(1, n + 1):
-        sums = nu.reshape(N**m, N ** (n - m)).sum(axis=1)
-        best = max(best, float(sums.max()) / total * k**m)
-    return best
-
-
-def interface_measure(graph: CellGraph, w: Word, w2: Word) -> np.ndarray:
-    """Counting measure on the w-side interface toward w2 (Example-a style)."""
-    from .cellgraph import interface_sets
-
-    _, mask = interface_sets(graph, w, w2)
-    return mask.astype(np.float64)
-
-
-def height_ladder_measure(graph: CellGraph) -> dict:
-    """Unit masses on one path cell per height band (Example-b style).
-
-    B is a BFS shortest path from the top x1 face into the middle layer; the
-    i-th band wants a cell of B whose lower x1 corner lies in
-    [(k^n - i)/k^n, (k^n - i + 1)/k^n).
-    """
-    top = graph.face_set(0, 1)
-    middle, _, _ = middle_layers(graph)
-    depth = _bfs_depths(graph, np.nonzero(top)[0])
-    target = np.nonzero(middle)[0]
-    end = target[np.argmin(depth[target])]
-    # walk back along decreasing depth to extract one shortest path
-    path = [int(end)]
-    cur = int(end)
-    while depth[cur] > 0:
-        nbr = graph.neighbors(cur)
-        cur = int(nbr[np.argmin(depth[nbr])])
-        path.append(cur)
-    kn = graph.spec.k**graph.n
-    bands = kn // 2
-    chosen = {}
-    corners = graph.corners[:, 0]
-    scale = graph.scale
-    for i in range(1, bands + 1):
-        lo = (kn - i) * scale  # compare corner*kn against band edges * scale
-        hi = (kn - i + 1) * scale
-        for u in path:
-            c = int(corners[u]) * kn
-            if lo <= c < hi:
-                chosen[i] = u
-                break
-        else:
-            raise SpecError(f"height band {i} has no representative on the path")
-    nu = np.zeros(graph.num_vertices)
-    for u in chosen.values():
-        nu[u] += 1.0
-    return {"nu": nu, "path": path, "chosen": chosen}
-
-
-def average_comparison_report(
-    graph: CellGraph,
-    nu: np.ndarray,
-    lam: float,
-    *,
-    samples: int = 64,
-    seed: int = 0,
-) -> dict:
-    """Empirical constant in the measure-vs-counting average comparison.
-
-    For random f, |avg_nu f - avg f| is divided by sqrt(N^-n lam energy(f));
-    the max over the sample estimates C2 sqrt(C1) and the exact C1 of the
-    block-mass condition is reported alongside.
-    """
-    rng = np.random.default_rng(seed)
-    count = graph.num_vertices
-    nonzero = nu > 0
-    c1 = block_measure_constant(graph, nu)
-    scale = graph.spec.N ** (-graph.n) * lam
-    worst = 0.0
-    for i in range(samples):
-        if i % 3 == 0:
-            f = rng.standard_normal(count)
-        elif i % 3 == 1:
-            f = (rng.random(count) < 0.3).astype(float)
-        else:
-            center = rng.integers(count)
-            d = _bfs_depths(graph, int(center)).astype(float)
-            f = np.exp(-(d / max(d.max(), 1)) * 3.0)
-        energy = dirichlet_energy(graph, f)
-        if energy <= 0:
-            continue
-        gap = abs(nu[nonzero] @ f[nonzero] / nu.sum() - f.mean())
-        worst = max(worst, gap / math.sqrt(scale * energy))
-    return {"empirical_c2_sqrt_c1": worst, "c1": c1}
 
 
 # ---------------------------------------------------------------------------

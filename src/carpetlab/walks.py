@@ -8,32 +8,22 @@ integer identities on common denominators, and ``Fraction`` values are formed
 only where an identity fails, so a reported residual is the exact maximum.
 
 The Monte Carlo engine draws each trajectory from its own counter-based
-stream keyed by (master seed, trajectory index), which makes aggregates
-independent of the worker count.
+``Philox`` stream keyed by (master seed, trajectory index), so a path's
+trajectory depends only on the seed, its index and its start.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import math
-import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .cellgraph import CellGraph, WallGraph, walk_measure
 from .geometry import SpecError
-from .spectral import SolveOptions, DEFAULT_OPTS, SolveInfo, _solve_pd, dirichlet_energy
-
-try:  # gmpy2 speeds up the exact solves considerably but is optional
-    from gmpy2 import mpq as _mpq
-except ImportError:  # pragma: no cover
-    _mpq = Fraction
+from .spectral import SolveOptions, DEFAULT_OPTS, SolveInfo, _solve_pd
 
 
 @dataclass
@@ -56,42 +46,6 @@ class WalkKernel:
     @property
     def num_states(self) -> int:
         return self.P.shape[0]
-
-    # padded-row sampling tables, built lazily for the simulator
-    _cum: np.ndarray | None = None
-    _tgt: np.ndarray | None = None
-
-    def kernel_hash(self) -> str:
-        if self.graph is not None:
-            spec_hash = self.graph.spec.spec_hash()
-        elif self.wall is not None:
-            spec_hash = self.wall.spec.spec_hash()
-        else:
-            spec_hash = "detached"
-        payload = json.dumps(
-            {"kind": self.kind, "n": self.n, "m": self.m,
-             "spec": spec_hash}, sort_keys=True)
-        return hashlib.sha256(payload.encode()).hexdigest()[:16]
-
-    def sampling_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._cum is None:
-            indptr, indices, data = self.P.indptr, self.P.indices, self.P.data
-            deg = np.diff(indptr)
-            width = int(deg.max())
-            rows = np.repeat(np.arange(self.num_states), deg)
-            cols = np.arange(len(indices)) - indptr[rows]
-            # row-wise running sums, the last column of each row and the
-            # padding pinned to 1.0; padding targets repeat the last target
-            cum = np.zeros((self.num_states, width), dtype=np.float64)
-            cum[rows, cols] = data
-            cum = np.cumsum(cum, axis=1)
-            cum[np.arange(width) >= deg[:, None] - 1] = 1.0
-            tgt = np.repeat(indices[indptr[1:] - 1].astype(np.int64)[:, None],
-                            width, axis=1)
-            tgt[rows, cols] = indices
-            object.__setattr__(self, "_cum", cum)
-            object.__setattr__(self, "_tgt", tgt)
-        return self._cum, self._tgt
 
 
 def _assemble(rows_u, rows_v, rows_den, size, pi, kind, n, m, graph, wall):
@@ -235,14 +189,6 @@ def reversibility_residual(kernel: WalkKernel) -> Fraction:
                 for j in np.flatnonzero(diff != 0)), default=Fraction(0))
 
 
-def wall_conductances(kernel: WalkKernel) -> set[Fraction]:
-    """Distinct off-diagonal conductance values pi(u)P(u,v) of a wall kernel."""
-    rows, cols, dens = _exact_entries(kernel)
-    off = rows != cols
-    pairs = np.unique(np.stack([np.asarray(kernel.pi)[rows[off]], dens[off]]), axis=1)
-    return {Fraction(int(p), int(d)) for p, d in pairs.T}
-
-
 def kernel_energy(kernel: WalkKernel, f: np.ndarray) -> float:
     """<f - Pf, f> in l2(pi): the per-edge (unordered) conductance form."""
     pf = kernel.P @ f
@@ -319,118 +265,6 @@ def mean_hitting(kernel: WalkKernel, target: np.ndarray,
     return HittingReport(target=target, exact=h, info=info)
 
 
-def mean_hitting_exact_rational(kernel: WalkKernel, target: np.ndarray,
-                                size_cap: int = 600) -> list[Fraction]:
-    """Rational mean-hitting vector by sparse elimination (small systems).
-
-    Oracle path for calibration: exact on graphs with at most ``size_cap``
-    free states.
-    """
-    target = np.asarray(target, dtype=bool)
-    free = np.nonzero(~target)[0]
-    if len(free) > size_cap:
-        raise SpecError(f"{len(free)} free states exceed exact-solve cap {size_cap}")
-    pos = {int(g): i for i, g in enumerate(free)}
-    indptr, indices, dens = kernel.P.indptr, kernel.P.indices, kernel.dens
-    rows = []
-    rhs = []
-    for g in free:
-        row = {pos[int(g)]: _mpq(1)}
-        for j in range(indptr[g], indptr[g + 1]):
-            v = int(indices[j])
-            if v in pos:
-                row[pos[v]] = row.get(pos[v], _mpq(0)) - _mpq(1, int(dens[j]))
-        rows.append(row)
-        rhs.append(_mpq(1))
-    # forward elimination with column->rows tracking (no pivoting needed:
-    # the killed system is a strictly diagonally dominant M-matrix)
-    col_rows: list[set[int]] = [set() for _ in range(len(free))]
-    for i, row in enumerate(rows):
-        for c in row:
-            col_rows[c].add(i)
-    for i in range(len(free)):
-        prow = rows[i]
-        piv = prow[i]
-        for j in list(col_rows[i]):
-            if j <= i:
-                continue
-            other = rows[j]
-            factor = other.pop(i) / piv
-            col_rows[i].discard(j)
-            if factor == 0:
-                continue
-            rhs[j] -= factor * rhs[i]
-            for c, val in prow.items():
-                if c == i:
-                    continue
-                cur = other.get(c)
-                new = (cur if cur is not None else _mpq(0)) - factor * val
-                if new == 0:
-                    if cur is not None:
-                        del other[c]
-                        col_rows[c].discard(j)
-                else:
-                    other[c] = new
-                    if cur is None:
-                        col_rows[c].add(j)
-    sol = [None] * len(free)
-    for i in range(len(free) - 1, -1, -1):
-        row = rows[i]
-        acc = rhs[i]
-        for c, val in row.items():
-            if c != i:
-                acc -= val * sol[c]
-        sol[i] = acc / row[i]
-    out = [Fraction(0)] * kernel.num_states
-    for g, i in pos.items():
-        out[g] = Fraction(int(sol[i].numerator), int(sol[i].denominator))
-    return out
-
-
-def killed_operator_report(kernel: WalkKernel, target: np.ndarray,
-                           lam: float) -> dict:
-    """Top eigenvalue s of the pi-symmetrized killed kernel and (1-s)*lam."""
-    target = np.asarray(target, dtype=bool)
-    free = np.nonzero(~target)[0]
-    if len(free) == 0:
-        return {"s": 0.0, "c2_empirical": lam}
-    P_ff = kernel.P[free][:, free]
-    sqrt_pi = np.sqrt(kernel.pi[free].astype(np.float64))
-    S = sp.diags(sqrt_pi) @ P_ff @ sp.diags(1.0 / sqrt_pi)
-    S = (S + S.T) * 0.5
-    if S.shape[0] <= 2:
-        vals = np.linalg.eigvalsh(S.toarray())
-        s = float(vals[-1])
-    else:
-        s = float(spla.eigsh(S, k=1, which="LA",
-                             return_eigenvectors=False)[0])
-    return {"s": s, "c2_empirical": (1.0 - s) * lam}
-
-
-def supnorm_report(kernel: WalkKernel, lam: float,
-                   sample: list[int] | None = None) -> dict:
-    """Estimate of the l2->linf norm of the kernel power at time [lam]+1.
-
-    By reversibility the squared norm restricted to a start state u equals
-    p_{2t}(u,u)/pi(u); the report maximizes over a start sample (an
-    estimate, not an optimized bound) and compares against N^(-n/2) scaling.
-    """
-    t = int(lam) + 1
-    size = kernel.num_states
-    if sample is None:
-        sample = list(range(0, size, max(1, size // 12)))
-    PT = kernel.P.T.tocsr()
-    worst = 0.0
-    for u in sample:
-        v = np.zeros(size)
-        v[u] = 1.0
-        for _ in range(2 * t):
-            v = PT @ v
-        worst = max(worst, math.sqrt(max(v[u], 0.0) / kernel.pi[u]))
-    return {"time": t, "norm_estimate": worst,
-            "scaled": worst * math.sqrt(size)}
-
-
 def hitting_time_bands(kernels: dict[int, WalkKernel],
                        lams: dict[int, float]) -> dict:
     """Per level: extremes of mean-hitting/lam for the x1=0 face target.
@@ -478,93 +312,6 @@ def oscillation_bound(t: float, c1: float = 1.0 / 27.0) -> float:
     return best
 
 
-def stacked_oscillation_bound(t: float, *, m: int, k: int,
-                              c1: float = 1.0 / 27.0,
-                              c2: float = 1.0,
-                              block_success: float | None = None,
-                              tol: float = 1e-12) -> float:
-    """Series bound for the wall's bottom-hitting time in units of lam.
-
-    The i-th folded oscillation window contributes the i-fold composition of
-    the oscillation bound, weighted by the chance that the bottom layer has
-    not been reached in any earlier batch of k^m + 1 oscillations (success
-    rate per batch from the explicit layer-crossing constant 1/55 unless
-    overridden).  The iterates stabilize at the fixed point of the bound, so
-    the geometric remainder is summed in closed form once they do.
-    """
-    block = k**m + 1
-    if block_success is None:
-        block_success = (1.0 / 55.0) ** block
-    if not 0 < block_success <= 1:
-        raise SpecError("block success rate must be in (0, 1]")
-    fail = 1.0 - block_success
-    pref = c2 / (1.0 - fail)
-    total = 0.0
-    iterate = float(t)
-    i = 0
-    while True:
-        total += pref * fail ** (i // block) * iterate
-        nxt = oscillation_bound(min(iterate, 1.0), c1)
-        if abs(nxt - iterate) < 1e-15 or i > 100_000:
-            star = nxt
-            break
-        iterate = nxt
-        i += 1
-    # closed-form tail: sum over i' > i of fail^(i'//block) times the fixed
-    # point; i'+1 = a*block + r splits the first partial batch off
-    a, r = divmod(i + 1, block)
-    if fail > 0:
-        tail_weight = (block - r) * fail**a + block * fail ** (a + 1) / (1.0 - fail)
-    else:
-        tail_weight = (block - r) if a == 0 else 0.0
-    total += pref * tail_weight * star
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Nash-type inequality report
-# ---------------------------------------------------------------------------
-
-
-def nash_exponent(spec, lams: dict[int, float]) -> float:
-    """Smallest usable volume exponent >= d_H for the Nash check."""
-    d_h = math.log(spec.N) / math.log(spec.k)
-    req = d_h
-    for n, lam in lams.items():
-        need = (n * math.log(spec.N) + math.log(lam)) / (n * math.log(spec.k)) - 2.0
-        req = max(req, need)
-    return req
-
-
-def nash_report(graph: CellGraph, kernel: WalkKernel, lam: float,
-                kappa: float, *, samples: int = 48, seed: int = 7) -> dict:
-    """Max over sample functions of LHS/RHS in the Nash inequality (C = 1)."""
-    rng = np.random.default_rng(seed)
-    pi = kernel.pi.astype(np.float64)
-    count = graph.num_vertices
-    n = graph.n
-    vol = graph.spec.N ** (-2.0 * n / kappa)
-    worst = 0.0
-    for i in range(samples):
-        kind = i % 3
-        if kind == 0:
-            f = rng.standard_normal(count)
-        elif kind == 1:
-            f = (rng.random(count) < rng.uniform(0.05, 0.5)).astype(float)
-        else:
-            f = rng.standard_normal(count)
-            for _ in range(3):  # crude smoothing toward low modes
-                f = kernel.P @ f
-        l2 = float((f * f * pi).sum())
-        l1 = float((np.abs(f) * pi).sum())
-        if l1 <= 0 or l2 <= 0:
-            continue
-        lhs = l2 ** (1.0 + 2.0 / kappa)
-        rhs = (lam * dirichlet_energy(graph, f) + l2) * vol * l1 ** (4.0 / kappa)
-        worst = max(worst, lhs / rhs)
-    return {"kappa": kappa, "empirical_c": worst}
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo engine
 # ---------------------------------------------------------------------------
@@ -575,10 +322,31 @@ class SimulationResult:
     paths: int
     horizon: int
     seed: int
-    workers: int
     first_hits: dict[str, np.ndarray]  # step index or -1 when censored
     osc_times: np.ndarray | None  # (paths, max_osc), -1 when censored
     start_states: np.ndarray
+
+
+def sampling_tables(P: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """Padded row-wise running sums of a row-stochastic ``P`` and targets.
+
+    The last column of each row and the padding are pinned to 1.0, and the
+    padding targets repeat the row's last target, so a uniform draw u moves
+    state s to ``tgt[s, (u > cum[s]).sum()]``.
+    """
+    indptr, indices, data = P.indptr, P.indices, P.data
+    size = P.shape[0]
+    deg = np.diff(indptr)
+    width = int(deg.max())
+    rows = np.repeat(np.arange(size), deg)
+    cols = np.arange(len(indices)) - indptr[rows]
+    cum = np.zeros((size, width), dtype=np.float64)
+    cum[rows, cols] = data
+    cum = np.cumsum(cum, axis=1)
+    cum[np.arange(width) >= deg[:, None] - 1] = 1.0
+    tgt = np.repeat(indices[indptr[1:] - 1].astype(np.int64)[:, None], width, axis=1)
+    tgt[rows, cols] = indices
+    return cum, tgt
 
 
 def _path_generator(seed: int, index: int) -> np.random.Generator:
@@ -586,16 +354,30 @@ def _path_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _run_shard(kernel: WalkKernel, start, lo: int, hi: int, horizon: int,
-               seed: int, masks: dict[str, np.ndarray],
-               osc_masks, max_osc: int, out_first, out_osc, out_start,
-               chunk: int = 256) -> None:
-    cum, tgt = kernel.sampling_tables()
+def simulate(kernel: WalkKernel, start, *, paths: int, horizon: int,
+             seed: int, workers: int = 1,
+             targets: dict[str, np.ndarray] | None = None,
+             oscillation: tuple[np.ndarray, np.ndarray] | None = None,
+             max_osc: int = 2) -> SimulationResult:
+    """Run ``paths`` trajectories and record first-hit/oscillation times.
+
+    ``start`` is one state, a float distribution over the states (each path
+    draws its start from its own stream), or an integer state per path.
+    ``targets`` maps names to vertex masks (first-hit times are recorded);
+    ``oscillation`` gives the alternating pair of masks whose alternating
+    hit times are collected up to ``max_osc``.  Path p draws from a
+    ``Philox`` stream keyed by (seed, p), 256 steps at a time.  ``workers``
+    is accepted and ignored: every path runs in the calling thread.
+    """
+    if horizon < 1:
+        raise SpecError("horizon must be >= 1")
+    chunk = 256
+    names = list(targets or {})
+    cum, tgt = sampling_tables(kernel.P)
     width = cum.shape[1]
-    count = hi - lo
-    gens = [_path_generator(seed, lo + i) for i in range(count)]
+    gens = [_path_generator(seed, p) for p in range(paths)]
     if np.isscalar(start):
-        states = np.full(count, int(start), dtype=np.int64)
+        states = np.full(paths, int(start), dtype=np.int64)
     elif len(np.atleast_1d(start)) == kernel.num_states and np.issubdtype(
             np.asarray(start).dtype, np.floating):
         cdf = np.cumsum(np.asarray(start, dtype=np.float64))
@@ -603,21 +385,19 @@ def _run_shard(kernel: WalkKernel, start, lo: int, hi: int, horizon: int,
         draws = np.array([g.random() for g in gens])
         states = np.searchsorted(cdf, draws).astype(np.int64)
     else:
-        states = np.asarray(start, dtype=np.int64)[lo:hi].copy()
-    out_start[lo:hi] = states
+        states = np.asarray(start, dtype=np.int64)[:paths].copy()
+    start_states = states.copy()
 
-    names = list(masks)
-    first = {name: np.full(count, -1, dtype=np.int64) for name in names}
-    osc = np.full((count, max_osc), -1, dtype=np.int64) if osc_masks else None
-    phase = np.zeros(count, dtype=np.int64)
+    first = {name: np.full(paths, -1, dtype=np.int64) for name in names}
+    osc = np.full((paths, max_osc), -1, dtype=np.int64) if oscillation else None
+    phase = np.zeros(paths, dtype=np.int64)
 
     def record(t: int, idx: np.ndarray, st: np.ndarray) -> None:
         for name in names:
-            mask = masks[name]
-            fresh = (first[name][idx] < 0) & mask[st]
+            fresh = (first[name][idx] < 0) & targets[name][st]
             first[name][idx[fresh]] = t
         if osc is not None:
-            m0, m1 = osc_masks
+            m0, m1 = oscillation
             while True:
                 # re-check after each toggle: consecutive stopping times may
                 # coincide when a state lies in both alternating sets
@@ -630,9 +410,6 @@ def _run_shard(kernel: WalkKernel, start, lo: int, hi: int, horizon: int,
                 osc[rows, phase[rows]] = t
                 phase[rows] += 1
 
-    active = np.arange(count, dtype=np.int64)
-    record(0, active, states)
-
     def done(idx):
         ok = np.ones(len(idx), dtype=bool)
         for name in names:
@@ -641,6 +418,8 @@ def _run_shard(kernel: WalkKernel, start, lo: int, hi: int, horizon: int,
             ok &= phase[idx] >= max_osc
         return ok
 
+    active = np.arange(paths, dtype=np.int64)
+    record(0, active, states)
     active = active[~done(active)]
     t = 0
     while t < horizon and len(active):
@@ -656,55 +435,10 @@ def _run_shard(kernel: WalkKernel, start, lo: int, hi: int, horizon: int,
             record(t + s + 1, active, st)
         states[active] = st
         t += steps
-        keep = ~done(active)
-        active = active[keep]
-    for name in names:
-        out_first[name][lo:hi] = first[name]
-    if osc is not None:
-        out_osc[lo:hi] = osc
-
-
-def simulate(kernel: WalkKernel, start, *, paths: int, horizon: int,
-             seed: int, workers: int = 1,
-             targets: dict[str, np.ndarray] | None = None,
-             oscillation: tuple[np.ndarray, np.ndarray] | None = None,
-             max_osc: int = 2) -> SimulationResult:
-    """Run ``paths`` trajectories and record first-hit/oscillation times.
-
-    ``targets`` maps names to vertex masks (first-hit times are recorded);
-    ``oscillation`` gives the alternating pair of masks whose alternating
-    hit times are collected up to ``max_osc``.  Results are bit-identical
-    for any worker count at a fixed seed.
-    """
-    if horizon < 1:
-        raise SpecError("horizon must be >= 1")
-    targets = targets or {}
-    out_first = {name: np.full(paths, -1, dtype=np.int64) for name in targets}
-    out_osc = (np.full((paths, max_osc), -1, dtype=np.int64)
-               if oscillation else None)
-    out_start = np.zeros(paths, dtype=np.int64)
-    bounds = np.linspace(0, paths, workers + 1).astype(int)
-    jobs = [
-        (lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo
-    ]
-    if len(jobs) <= 1:
-        for lo, hi in jobs:
-            _run_shard(kernel, start, lo, hi, horizon, seed, targets,
-                       oscillation, max_osc, out_first, out_osc, out_start)
-    else:
-        kernel.sampling_tables()  # build once before threading
-        with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
-            futs = [
-                pool.submit(_run_shard, kernel, start, lo, hi, horizon, seed,
-                            targets, oscillation, max_osc, out_first, out_osc,
-                            out_start)
-                for lo, hi in jobs
-            ]
-            for f in futs:
-                f.result()
+        active = active[~done(active)]
     return SimulationResult(paths=paths, horizon=horizon, seed=seed,
-                            workers=workers, first_hits=out_first,
-                            osc_times=out_osc, start_states=out_start)
+                            first_hits=first, osc_times=osc,
+                            start_states=start_states)
 
 
 @dataclass
@@ -794,7 +528,8 @@ def wall_hitting_report(wall_kernel: WalkKernel, *, paths: int, seed: int,
 
     Tracks the folded oscillation times alongside the bottom-hit time and
     reports the Wilson 95% lower bound for P(hit before the (k^m+1)-th
-    folded oscillation), to be compared against (1/55)^(k^m+1).
+    folded oscillation), to be compared against (1/55)^(k^m+1).  ``workers``
+    is accepted and ignored, as in :func:`simulate`.
     """
     wall = wall_kernel.wall
     spec = wall.spec
@@ -809,8 +544,7 @@ def wall_hitting_report(wall_kernel: WalkKernel, *, paths: int, seed: int,
         far = int(np.nonzero(cg.face_set(0, 1))[0][0])
         start = fiber_distribution(wall, far)
     sim = simulate(wall_kernel, start, paths=paths, horizon=horizon,
-                   seed=seed, workers=workers,
-                   targets={"bottom": bottom}, oscillation=(mask0, mask1),
+                   seed=seed, targets={"bottom": bottom}, oscillation=(mask0, mask1),
                    max_osc=need)
     tau = sim.first_hits["bottom"]
     t_need = sim.osc_times[:, need - 1]
@@ -831,25 +565,3 @@ def wall_hitting_report(wall_kernel: WalkKernel, *, paths: int, seed: int,
         "simulation": sim,
     }
 
-
-# ---------------------------------------------------------------------------
-# optional trajectory log
-# ---------------------------------------------------------------------------
-
-TRAJ_MAGIC = b"CWLK"
-
-
-def save_trajectories(path: str, kernel: WalkKernel, states: np.ndarray,
-                      seed: int) -> None:
-    """Compact binary trajectory log (header JSON + uint32 state matrix)."""
-    meta = json.dumps({
-        "seed": seed,
-        "kernel": kernel.kernel_hash(),
-        "paths": int(states.shape[0]),
-        "steps": int(states.shape[1]),
-    }).encode()
-    with open(path, "wb") as f:
-        f.write(TRAJ_MAGIC)
-        f.write(struct.pack("<I", len(meta)))
-        f.write(meta)
-        f.write(states.astype(np.uint32).tobytes(order="C"))

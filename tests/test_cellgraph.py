@@ -18,7 +18,6 @@ from carpetlab.cellgraph import (
     export_adjacency_json,
     graph_ball,
     graph_distance,
-    interface_sets,
     load_graph,
     middle_layers,
     neighborhood,
@@ -174,20 +173,6 @@ def test_measures(lab):
     assert rep["pi_le_8"] and rep["max_degree"] <= 7
 
 
-def test_interface_sets(lab):
-    g2 = lab.graph(2)
-    g1 = lab.graph(1)
-    c = corner_index(lab, 0, 0, 0)
-    w = g1.word_of(c)
-    w2 = g1.word_of(int(g1.neighbors(c)[0]))
-    suffixes, mask = interface_sets(g2, w, w2)
-    assert len(suffixes) == 9 and int(mask.sum()) == 9
-    lo, hi = g2.block_range(w)
-    assert bool(mask[lo:hi].sum() == 9) and not mask[:lo].any() and not mask[hi:].any()
-    with pytest.raises(SpecError):
-        interface_sets(g2, w, w)
-
-
 def test_budget(spec26):
     with pytest.raises(BudgetError):
         build_graph(spec26, 3, max_vertices=1000)
@@ -248,6 +233,16 @@ def test_cache_roundtrip(tmp_path, lab, spec26):
     other = cl.builtin_spec("menger")
     with pytest.raises(SpecError, match="hash"):
         load_graph(other, str(path))
+
+
+def test_truncated_cache_raises_spec_error(tmp_path, lab, spec26):
+    path = tmp_path / "g1.graph"
+    save_graph(lab.graph(1), str(path))
+    raw = path.read_bytes()
+    for length in range(len(raw)):
+        path.write_bytes(raw[:length])
+        with pytest.raises(SpecError):
+            load_graph(spec26, str(path))
 
 
 def test_export_adjacency(lab):

@@ -60,6 +60,20 @@ def test_graph_command_and_cache(config26, tmp_path):
     assert (out / "graph_n2.json").read_bytes() == before
 
 
+def test_graph_command_rebuilds_truncated_cache(config26, tmp_path):
+    out = tmp_path / "t"
+    argv = ["--spec", config26, "--out", str(out), "graph", "--level", "2"]
+    assert main(argv) == 0
+    stats = (out / "graph_n2.json").read_bytes()
+    (cache,) = (out / "cache").iterdir()
+    full = cache.read_bytes()
+    for length in (0, 6, 40, 300, len(full) - 1):
+        cache.write_bytes(full[:length])
+        assert main(argv) == 0
+        assert (out / "graph_n2.json").read_bytes() == stats
+        assert cache.read_bytes() == full
+
+
 def test_graph_overlapping_spec_exits_2(tmp_path, capsys):
     doc = json.loads(builtin_config("carpet26"))
     doc["cells"].append(["0/1", "0/1", "1/6"])
@@ -104,16 +118,14 @@ def test_constants_deterministic(config26, tmp_path):
     assert m1["args"] == m2["args"]
 
 
-def test_walk_command_deterministic_across_workers(config26, tmp_path):
-    outs = []
-    for i, workers in enumerate((1, 4)):
+def test_walk_command_deterministic(config26, tmp_path):
+    docs = []
+    for i in range(2):
         out = tmp_path / f"w{i}"
         assert main(["--spec", config26, "--out", str(out), "--seed", "7",
-                     "--workers", str(workers), "walk", "--level", "1",
-                     "--paths", "400"]) == 0
-        doc = json.loads((out / "walk_n1.json").read_text())
-        outs.append((doc["mc_mean_t1"], doc["mean_gap"]))
-    assert outs[0] == outs[1]
+                     "walk", "--level", "1", "--paths", "400"]) == 0
+        docs.append((out / "walk_n1.json").read_bytes())
+    assert docs[0] == docs[1]
 
 
 def test_brick_command(config26, tmp_path):
@@ -182,23 +194,34 @@ def _exit_code(argv):
         return exc.code
 
 
+# specs whose schema is wrong; an argument "{name}" is replaced by its path
+BAD_SPECS = {"cells_int": {"cells": 5}, "k_str": {"k": "x"},
+             "cell_int": {"cells": [5]}}
+
+
 @pytest.mark.parametrize("args,code", [
     (["validate"], 0),
-    (["--workers", "2", "walk", "--level", "1", "--paths", "50"], 0),
+    (["--workers", "2", "walk", "--level", "1", "--paths", "50"], 2),
     (["walk", "--level", "1", "--paths", "0"], 2),
     (["walk", "--level", "1", "--paths", "-5"], 2),
     (["walk", "--level", "1", "--paths", "many"], 2),
     (["wall", "--paths", "0"], 2),
-    (["--workers", "0", "walk", "--level", "1"], 2),
-    (["--workers", "-1", "wall"], 2),
-    (["--workers", "1.5", "walk", "--level", "1"], 2),
+    (["--spec", "{cells_int}", "validate"], 2),
+    (["--spec", "{k_str}", "graph", "--level", "1"], 2),
+    (["--spec", "{cell_int}", "validate"], 2),
     (["graph"], 2),
     (["nonsense"], 2),
     (["--max-vertices", "100", "graph", "--level", "2"], 3),
     (["walk", "--level", "1", "--paths", "1"], 0),
 ])
 def test_exit_codes(config26, tmp_path, capsys, args, code):
-    argv = ["--spec", config26, "--out", str(tmp_path / "x")] + args
+    spec = json.loads(builtin_config("carpet26"))
+    paths = {}
+    for name, patch in BAD_SPECS.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps({**spec, **patch}))
+    argv = ["--spec", config26, "--out", str(tmp_path / "x")]
+    argv += [a.format(**paths) for a in args]
     assert _exit_code(argv) == code
     err = capsys.readouterr().err
     if code:

@@ -1,8 +1,9 @@
-"""Differential oracles for the array-built construction path.
+"""Differential oracles for the array-built construction path and the walks.
 
 ``golden/construction_hashes.json`` holds SHA-256 hashes of graph, wall and
-kernel arrays written by the per-pair reference construction; the current
-code must reproduce them bit for bit.  The level-1 oracle re-derives every
+kernel arrays written by the per-pair reference construction, and
+``golden/simulate_hashes.json`` those of the Monte Carlo output written by
+the thread-sharded engine; the current code must reproduce both bit for bit.  The level-1 oracle re-derives every
 edge from ``box_intersection`` and the contact rule, pair by pair, and the
 voxel oracle rebuilds on-grid graphs as face graphs of occupied voxels.
 """
@@ -28,17 +29,17 @@ from carpetlab.geometry import (
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
-def _hash_module():
-    path = os.path.join(GOLDEN, "construction_hashes.py")
-    spec = importlib.util.spec_from_file_location("construction_hashes", path)
+def _hash_module(name):
+    path = os.path.join(GOLDEN, f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module
+    with open(os.path.join(GOLDEN, f"{name}.json")) as f:
+        return module, json.load(f)
 
 
-hashes = _hash_module()
-with open(os.path.join(GOLDEN, "construction_hashes.json")) as _f:
-    REFERENCE = json.load(_f)
+hashes, REFERENCE = _hash_module("construction_hashes")
+sim_hashes, SIM_REFERENCE = _hash_module("simulate_hashes")
 
 
 def test_reference_covers_every_case():
@@ -48,6 +49,15 @@ def test_reference_covers_every_case():
 @pytest.mark.parametrize("case", hashes.cases())
 def test_construction_hashes_match_reference(case):
     assert hashes.compute(case) == REFERENCE[case]
+
+
+def test_simulate_reference_covers_every_case():
+    assert sorted(SIM_REFERENCE) == sorted(sim_hashes.cases())
+
+
+@pytest.mark.parametrize("case", sim_hashes.cases())
+def test_simulate_hashes_match_reference(case):
+    assert sim_hashes.compute(case) == SIM_REFERENCE[case]
 
 
 def _oracle_edges(spec, point_contact):

@@ -20,7 +20,6 @@ from carpetlab.heat import (
     diffusive_window,
     heat_rows,
     holder_estimate,
-    shell_monotonicity_report,
     subgaussian_fit,
     torus_kernel,
 )
@@ -109,14 +108,6 @@ def test_off_diag_slopes_negative(lab):
     assert fit.off_diag
     for rep in fit.off_diag.values():
         assert rep["slope"] < 0
-
-
-def test_shell_monotonicity(lab):
-    g = lab.graph(2)
-    k = lab.kernel(2)
-    snaps = heat_rows(k, [0], [40], theta=0.5)
-    rep = shell_monotonicity_report(snaps[0], {0: _bfs_depths(g, 0)})
-    assert rep["fraction"] < 0.2
 
 
 def test_ball_checks_level3_smoke(lab):

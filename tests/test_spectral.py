@@ -12,15 +12,11 @@ from carpetlab.cellgraph import word_permutation
 from carpetlab.spectral import (
     ConstantsTable,
     SolveOptions,
-    block_measure_constant,
-    average_comparison_report,
     dirichlet_energy,
     effective_resistance,
     face_gap_constants,
     face_resistance,
     face_resistance_upper_check,
-    height_ladder_measure,
-    interface_measure,
     laplacian,
     pinned_face_gap,
     poincare_constant,
@@ -260,39 +256,6 @@ def test_resistance_probe_skips_when_neighborhood_covers(lab, spec26):
                            graphs=lab.graphs)
     assert rep["value"] is None
     assert rep["probes"][0]["skipped"]
-
-
-def test_interface_measure_and_c1(lab):
-    g2 = lab.graph(2)
-    g1 = lab.graph(1)
-    w = g1.word_of(0)
-    w2 = g1.word_of(int(g1.neighbors(0)[0]))
-    nu = interface_measure(g2, w, w2)
-    assert nu.sum() == 9
-    assert block_measure_constant(g2, nu) <= 6.0
-
-
-def test_height_ladder_measure(lab):
-    for n in (1, 2):
-        rep = height_ladder_measure(lab.graph(n))
-        assert rep["nu"].sum() == (3**n) // 2
-        c1 = block_measure_constant(lab.graph(n), rep["nu"])
-        assert c1 <= 4.0 + 1e-12
-
-
-def test_average_comparison_identity_measure(lab):
-    g = lab.graph(1)
-    nu = np.ones(26)
-    rep = average_comparison_report(g, nu, lab.lam(1), samples=12)
-    assert rep["empirical_c2_sqrt_c1"] <= 1e-12
-
-
-def test_average_comparison_runs(lab):
-    g = lab.graph(2)
-    rep = height_ladder_measure(g)
-    out = average_comparison_report(g, rep["nu"], lab.lam(2), samples=24)
-    assert math.isfinite(out["empirical_c2_sqrt_c1"])
-    assert out["c1"] <= 4.0 + 1e-12
 
 
 def test_scaling_fit_exact_geometric(spec26):
