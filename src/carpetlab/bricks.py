@@ -11,8 +11,10 @@ Three constructions, each bundled with machine-checked certificates:
 
 Dirichlet solves run in floats; every certified identity is arranged so that
 it only mixes pinned (exactly 0/1) solver entries with rational data, and the
-checks run over exact lifts of the stored values.  Reflection symmetry of the
-solver outputs is enforced bitwise by orbit averaging.
+checks run over exact lifts of the stored values.  A brick keeps its exact
+values as integer numerators over one common denominator, and every check
+compares cross-multiplied integers.  Reflection symmetry of the solver
+outputs is enforced bitwise by orbit averaging.
 """
 
 from __future__ import annotations
@@ -23,18 +25,25 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cellgraph import CellGraph, _digit_arrays, build_graph, word_index
+from .cellgraph import (
+    CellGraph,
+    _digit_arrays,
+    _scaled_geometry,
+    build_graph,
+    neighborhood,
+    word_index,
+    word_permutation,
+)
 from .geometry import (
     IfsSpec,
-    Isometry,
     SpecError,
     Word,
     axis_reflection,
     axis_swap,
     cell_box,
+    isometry_group,
     separation_constant,
 )
-from .cellgraph import neighborhood, word_permutation
 from .spectral import (
     DEFAULT_OPTS,
     SolveOptions,
@@ -58,7 +67,8 @@ class BrickFunction:
     level: int
     domain: np.ndarray  # boolean mask over the level's vertices
     values: np.ndarray  # float64, 0 outside the domain
-    exact: list  # Fraction per vertex (None outside the domain)
+    num: np.ndarray | None  # Python ints, exact value num[u] / den; None for cutoffs
+    den: int
     energy: float
     certificates: dict = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
@@ -69,54 +79,63 @@ class BrickFunction:
             "kind": self.kind,
             "level": self.level,
             "energy": self.energy,
-            "certificates": {
-                k: {kk: vv for kk, vv in v.items() if kk != "witness_vertex"}
-                for k, v in self.certificates.items()
-            },
+            "certificates": self.certificates,
             "vertices": idx.tolist(),
-            "values": [float(self.values[i]) for i in idx],
+            "values": self.values[idx].tolist(),
         }
-        if all(self.exact[i] is not None for i in idx):
+        if self.num is not None:
+            gcd = np.gcd(self.num[idx], self.den)
             out["values_exact"] = [
-                f"{self.exact[i].numerator}/{self.exact[i].denominator}" for i in idx
+                f"{p}/{q}" for p, q in zip(self.num[idx] // gcd, self.den // gcd)
             ]
         return out
 
 
-def _subgroup(generators: list[Isometry]) -> list[Isometry]:
-    seen = {(g.perm, g.flip): g for g in generators}
-    frontier = list(seen.values())
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in list(seen.values()):
-                for comp in (g.compose(h), h.compose(g)):
-                    key = (comp.perm, comp.flip)
-                    if key not in seen:
-                        seen[key] = comp
-                        nxt.append(comp)
-        frontier = nxt
-    return list(seen.values())
+def _lift(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact (num, den) of a float array: x == num / den with den a power of 2."""
+    mant, exp = np.frexp(x)
+    exp = exp.astype(np.int64) - 53
+    low = min(int(exp.min()), 0)
+    num = (mant * 2.0**53).astype(np.int64).astype(object)
+    return num << (exp - low).astype(object), 1 << -low
 
 
-def orbit_symmetrize(graph: CellGraph, f: np.ndarray,
-                     generators: list[Isometry]) -> np.ndarray:
-    """Average f over the word action of the generated subgroup.
+def _floats(num: np.ndarray, den: int) -> np.ndarray:
+    """num / den as float64, each entry correctly rounded (int true division)."""
+    return (num / den).astype(np.float64)
 
-    The per-vertex average is computed over the sorted orbit multiset, so the
+
+def _common(num_a: np.ndarray, den_a: int, num_b: np.ndarray, den_b: int):
+    """(num_a', num_b', den): both numerator arrays over one common denominator."""
+    den = math.lcm(den_a, den_b)
+    return num_a * (den // den_a), num_b * (den // den_b), den
+
+
+def _require(ok: np.ndarray, where: np.ndarray, message: str) -> None:
+    """Raise SpecError naming the entry of ``where`` at the first False of ``ok``."""
+    bad = np.flatnonzero(~ok)
+    if len(bad):
+        raise SpecError(message.format(where.ravel()[bad[0]]))
+
+
+def orbit_symmetrize(graph: CellGraph, f: np.ndarray, axis: int) -> np.ndarray:
+    """Average f over the word action of the isometries fixing the x_axis direction.
+
+    These are the 8 signed permutations of the other two axes.  The
+    per-vertex average is computed over the sorted orbit multiset, so the
     result is bitwise constant along orbits (exact symmetry certificates rely
     on this).
     """
-    group = _subgroup(generators + [Isometry((0, 1, 2), (False, False, False))])
+    group = [g for g in isometry_group() if g.perm[axis] == axis and not g.flip[axis]]
     images = np.stack([word_permutation(graph, g) for g in group])
     vals = f[images]  # (|G|, V)
     vals.sort(axis=0)
     return vals.sum(axis=0) / len(group)
 
 
-def _pinned_harmonic(graph: CellGraph, zero_mask, one_mask,
-                     sym: list[Isometry], opts: SolveOptions) -> np.ndarray:
-    """Energy minimizer with the given 0/1 boundary data, orbit-symmetrized."""
+def _pinned_harmonic(graph: CellGraph, zero_mask, one_mask, axis: int,
+                     opts: SolveOptions) -> np.ndarray:
+    """Energy minimizer with the given 0/1 boundary data, symmetrized about ``axis``."""
     if (zero_mask & one_mask).any():
         raise SpecError("harmonic boundary sets overlap")
     f = np.zeros(graph.num_vertices)
@@ -128,10 +147,9 @@ def _pinned_harmonic(graph: CellGraph, zero_mask, one_mask,
         rhs = -(L[keep] @ f)
         x, _ = _solve_pd(L[keep][:, keep], rhs, opts)
         f[keep] = x
-    if sym:
-        f = orbit_symmetrize(graph, f, sym)
-        f[zero_mask] = 0.0
-        f[one_mask] = 1.0
+    f = orbit_symmetrize(graph, f, axis)
+    f[zero_mask] = 0.0
+    f[one_mask] = 1.0
     return f
 
 
@@ -185,16 +203,9 @@ class BrickWorkspace:
         """
         if m not in self._harmonic:
             g = self.graph(m)
-            h = _pinned_harmonic(
-                g, g.face_set(0, 0), g.face_set(0, 1),
-                [axis_reflection(1), axis_reflection(2), axis_swap(1, 2)],
-                self.opts,
-            )
-            hp = _pinned_harmonic(
-                g, bottom_slab_mask(g), g.face_set(2, 1),
-                [axis_reflection(0), axis_reflection(1), axis_swap(0, 1)],
-                self.opts,
-            )
+            h = _pinned_harmonic(g, g.face_set(0, 0), g.face_set(0, 1), 0, self.opts)
+            hp = _pinned_harmonic(g, bottom_slab_mask(g), g.face_set(2, 1), 2,
+                                  self.opts)
             self._harmonic[m] = (h, hp)
         return self._harmonic[m]
 
@@ -207,10 +218,6 @@ class BrickWorkspace:
         if n not in self._boundary_linear:
             self._boundary_linear[n] = build_boundary_linear(self, n)
         return self._boundary_linear[n]
-
-
-def _lift(x: float) -> Fraction:
-    return Fraction(x)
 
 
 def build_ramp(ws: BrickWorkspace, m: int) -> BrickFunction:
@@ -226,33 +233,29 @@ def build_ramp(ws: BrickWorkspace, m: int) -> BrickFunction:
     spec = ws.spec
     graph = ws.graph(m)
     domain = bottom_slab_mask(graph)
-    count = graph.num_vertices
-    exact: list = [None] * count
     h_m, _ = ws.harmonic_pair(m)
-    k = spec.k
-    bs = spec.N ** (m - 1)
 
     if m == 1:
-        for u in np.nonzero(domain)[0]:
-            exact[u] = _lift(float(h_m[u]))
+        num, den = _lift(np.where(domain, h_m, 0.0))
     else:
-        _, hp_prev = ws.harmonic_pair(m - 1)
-        h_prev = ws.harmonic_pair(m - 1)[0]
-        a_digit = [c[0] for c in spec.cells]
-        for u in np.nonzero(domain)[0]:
-            i, w = divmod(int(u), bs)
-            hw = _lift(float(hp_prev[w]))
-            exact[u] = (
-                _lift(float(h_m[u])) * hw
-                + (a_digit[i] + _lift(float(h_prev[w])) / k) * (1 - hw)
-            )
+        h_prev, hp_prev = ws.harmonic_pair(m - 1)
+        u = np.flatnonzero(domain)
+        first, w = np.divmod(u, spec.N ** (m - 1))
+        # one power-of-two denominator D for the three minimizers; the x1
+        # corner of digit i is a[i] / (k L)
+        lifted, D = _lift(np.concatenate([h_m[u], hp_prev[w], h_prev[w]]))
+        h, hw, hprev = lifted.reshape(3, len(u))
+        digit_corners, _, L = _scaled_geometry(spec, 1)
+        a = digit_corners[first, 0].astype(object)
+        # h hw + (a / (k L) + hprev / (k D)) (1 - hw), over k L D^2
+        num = np.zeros(graph.num_vertices, dtype=object)
+        num[u] = h * hw * (spec.k * L) + (a * D + hprev * L) * (D - hw)
+        den = spec.k * L * D * D
 
-    values = np.zeros(count)
-    for u in np.nonzero(domain)[0]:
-        values[u] = float(exact[u])
+    values = _floats(num, den)
     energy = dirichlet_energy(graph, values, subset=domain)
     brick = BrickFunction(
-        kind="ramp", level=m, domain=domain, values=values, exact=exact,
+        kind="ramp", level=m, domain=domain, values=values, num=num, den=den,
         energy=energy,
     )
     _certify_ramp(ws, brick)
@@ -264,64 +267,50 @@ def _certify_ramp(ws: BrickWorkspace, brick: BrickFunction) -> None:
     m = brick.level
     graph = ws.graph(m)
     k = spec.k
-    domain_idx = np.nonzero(brick.domain)[0]
+    num, den = brick.num, brick.den
+    u = np.flatnonzero(brick.domain)
     scale = graph.scale
     side = graph.side_scaled
 
     # (a) reflection symmetry in x2, range [0,1], pinned extremes
-    perm = word_permutation(graph, axis_reflection(1))
-    for u in domain_idx:
-        v = int(perm[u])
-        if not brick.domain[v] or brick.exact[u] != brick.exact[v]:
-            raise SpecError(f"ramp symmetry certificate failed at vertex {u}")
-        val = brick.exact[u]
-        if val < 0 or val > 1:
-            raise SpecError(f"ramp range certificate failed at vertex {u}")
-        c0 = int(graph.corners[u, 0])
-        if c0 == 0 and val != 0:
-            raise SpecError(f"ramp zero-boundary certificate failed at {u}")
-        if c0 + side == scale and val != 1:
-            raise SpecError(f"ramp one-boundary certificate failed at {u}")
+    v = word_permutation(graph, axis_reflection(1))[u]
+    val = num[u]
+    c0 = graph.corners[u, 0]
+    _require(brick.domain[v] & (val == num[v]), u,
+             "ramp symmetry certificate failed at vertex {}")
+    _require((val >= 0) & (val <= den), u, "ramp range certificate failed at vertex {}")
+    _require((c0 != 0) | (val == 0), u,
+             "ramp zero-boundary certificate failed at vertex {}")
+    _require((c0 + side != scale) | (val == den), u,
+             "ramp one-boundary certificate failed at vertex {}")
     brick.certificates["symmetry_range_boundary"] = {"pass": True}
 
     # (c) one-step recursion on the top-x3 shelf of the second slab layer
     if m >= 2:
         prev = ws.ramp(m - 1)
         gp = ws.graph(m - 1)
-        bs = spec.N ** (m - 1)
-        bot = [i for i, c in enumerate(spec.cells) if c[2] == 0]
-        shelf = bottom_slab_mask(gp)  # domain of the previous ramp
+        bot = np.array([i for i, c in enumerate(spec.cells) if c[2] == 0])
         # suffix must also end on the x3=1 side at its own depth
-        top_prev = _top_shelf_mask(gp)
-        a_digit = [c[0] for c in spec.cells]
-        checked = 0
-        for i in bot:
-            for w in np.nonzero(shelf & top_prev)[0]:
-                u = i * bs + int(w)
-                want = a_digit[i] + prev.exact[int(w)] / k
-                if brick.exact[u] != want:
-                    raise SpecError(f"ramp recursion certificate failed at {u}")
-                checked += 1
-        brick.certificates["recursion"] = {"pass": True, "checked": checked}
+        w = np.flatnonzero(bottom_slab_mask(gp) & _top_shelf_mask(gp))
+        target = bot[:, None] * spec.N ** (m - 1) + w
+        digit_corners, _, L = _scaled_geometry(spec, 1)
+        a = digit_corners[bot, 0].astype(object)[:, None]
+        # num / den == a / (k L) + prev.num / (k prev.den), cross-multiplied
+        want = (a * prev.den + prev.num[w] * L) * den
+        _require(num[target] * (k * L * prev.den) == want, target,
+                 "ramp recursion certificate failed at vertex {}")
+        brick.certificates["recursion"] = {"pass": True, "checked": int(target.size)}
 
     # (d) exact grid-plane values l/k on the double-bottom slab
     if m >= 2:
-        double = bottom_slab_mask(graph, depth=2)
-        checked = 0
-        for u in np.nonzero(double)[0]:
-            a_scaled = int(graph.corners[u, 0])
-            b_scaled = a_scaled + side
-            for l in range(1, k):
-                plane = l * scale // k
-                if plane * k != l * scale:
-                    continue
-                if a_scaled == plane or b_scaled == plane:
-                    if brick.exact[u] != Fraction(l, k):
-                        raise SpecError(
-                            f"ramp grid-plane certificate failed at {u}"
-                        )
-                    checked += 1
-        brick.certificates["grid_planes"] = {"pass": True, "checked": checked}
+        u = np.flatnonzero(bottom_slab_mask(graph, depth=2))
+        ell = np.array([ell for ell in range(1, k) if ell * scale % k == 0])
+        plane = ell * scale // k
+        a_scaled = graph.corners[u, 0][:, None]
+        rows, cols = np.nonzero((a_scaled == plane) | (a_scaled + side == plane))
+        _require(num[u[rows]] * k == ell[cols].astype(object) * den, u[rows],
+                 "ramp grid-plane certificate failed at vertex {}")
+        brick.certificates["grid_planes"] = {"pass": True, "checked": len(rows)}
 
 
 def _top_shelf_mask(graph: CellGraph) -> np.ndarray:
@@ -368,7 +357,8 @@ def build_boundary_linear(ws: BrickWorkspace, n: int) -> BrickFunction:
     N = spec.N
 
     seed = ws.harmonic_pair(n)[0]
-    exact: list = [_lift(float(x)) for x in seed]
+    num, den = _lift(seed)
+    vals = seed.copy()
     ladder = [dirichlet_energy(graph, seed)]
     overwrite_depth = np.zeros(count, dtype=np.int64)  # 0 = never overwritten
 
@@ -379,62 +369,48 @@ def build_boundary_linear(ws: BrickWorkspace, n: int) -> BrickFunction:
         # prefix: first m-1 digits on x3=0; tau: digit m-1 also on x3=0
         stage = prefix_ok & bot3[arrays[m - 1]]
         ramp = ws.ramp(n - m + 1)
-        suffix_size = N ** (n - m + 1)
-        prefix_size = N ** (m - 1)
-        shift = Fraction(1, k ** (m - 1))
-        prefix_a: dict[int, Fraction] = {}
-        for u in np.nonzero(stage)[0]:
-            p, t = divmod(int(u), suffix_size)
-            a_p = prefix_a.get(p)
-            if a_p is None:
-                a_p = cell_box(spec,
-                               _index_word_cached(p, m - 1, N)).corner[0]
-                prefix_a[p] = a_p
-            exact[u] = a_p + ramp.exact[t] * shift
-            overwrite_depth[u] = m
+        u = np.flatnonzero(stage)
+        p, t = np.divmod(u, N ** (n - m + 1))
+        # a_p + ramp / k^(m-1), where the prefix corner is a_p = corner / scale
+        corner, scale, L = _scaled_geometry(spec, m - 1)
+        num, stage_num, den = _common(
+            num, den, corner[p, 0].astype(object) * ramp.den + ramp.num[t] * L,
+            scale * ramp.den)
+        num[u] = stage_num
+        vals[u] = _floats(stage_num, den)
+        overwrite_depth[u] = m
         prefix_ok = stage
-        vals = np.array([float(x) for x in exact])
         ladder.append(dirichlet_energy(graph, vals))
 
-    # affine squeeze into [1/(2k^n), 1 - 1/(2k^n)]
-    kn = Fraction(k) ** n
-    lo = 1 / (2 * kn)
-    slope = (kn - 1) / kn
-    exact = [slope * x + lo for x in exact]
+    # affine squeeze into [1/(2k^n), 1 - 1/(2k^n)]: x -> ((k^n - 1) x + 1/2) / k^n
+    kn = k**n
+    num = 2 * (kn - 1) * num + den
+    den = 2 * kn * den
 
     # slice sandwich check: on the depth-(n-1) x3 shelf, the pre-snap
     # function must stay within half a cell of the linear envelope of the
-    # length-(n-2) prefix
+    # length-(n-2) prefix; with a_p = c / (k^(n-2) L), all bounds are over
+    # 2 k^n L
     sandwich = {"checked": 0, "pass": True}
     if n >= 2:
-        shelf = bottom_slab_mask(graph, depth=n - 1)
-        halfcell = 1 / (2 * kn)
-        pref_span = Fraction(1, k ** (n - 2))
-        pref_size = N * N
-        pref_corner: dict[int, Fraction] = {}
-        for u in np.nonzero(shelf)[0]:
-            p = int(u) // pref_size
-            a_p = pref_corner.get(p)
-            if a_p is None:
-                a_p = cell_box(spec, _index_word_cached(p, n - 2, N)).corner[0]
-                pref_corner[p] = a_p
-            if not (a_p - halfcell <= exact[u] <= a_p + pref_span + halfcell):
-                sandwich = {"checked": sandwich["checked"], "pass": False,
-                            "witness_vertex": int(u)}
-                break
-            sandwich["checked"] += 1
-    if not sandwich["pass"]:
-        raise SpecError("pre-snap sandwich certificate failed")
+        u = np.flatnonzero(bottom_slab_mask(graph, depth=n - 1))
+        corner, _, L = _scaled_geometry(spec, n - 2)
+        c = corner[u // (N * N), 0].astype(object)
+        x = num[u] * (2 * kn * L)
+        _require(((2 * k * k * c - L) * den <= x)
+                 & (x <= (2 * k * k * (c + L) + L) * den),
+                 u, "pre-snap sandwich certificate failed at vertex {}")
+        sandwich["checked"] = len(u)
 
-    # snap the x3=0 face to the exact midpoints
-    snap_mask = graph.face_set(2, 0)
-    mid = _midpoints(graph)
-    for u in np.nonzero(snap_mask)[0]:
-        exact[u] = mid[u]
+    # snap the x3=0 face to the exact midpoints (2 corner + side) / (2 scale)
+    scale, side = graph.scale, graph.side_scaled
+    mid = (2 * graph.corners[:, 0] + side).astype(object)
+    num, mid, den = _common(num, den, mid, 2 * scale)
+    snap = graph.face_set(2, 0)
+    num[snap] = mid[snap]
 
     # four-region reflection: assign each word to its nearest side face and
     # pull the value from the x3=0 branch through the matching reflection
-    scale, side = graph.scale, graph.side_scaled
     c1 = graph.corners[:, 1]
     c2 = graph.corners[:, 2]
     dists = np.stack([
@@ -447,63 +423,36 @@ def build_boundary_linear(ws: BrickWorkspace, n: int) -> BrickFunction:
     ties = int((np.sum(dists == dists[region, np.arange(count)], axis=0) > 1).sum())
 
     swap = axis_swap(1, 2)
-    maps = {
-        2: None,  # x3=0 region keeps the constructed branch
-        3: word_permutation(graph, axis_reflection(2)),
-        0: word_permutation(graph, swap),
-        1: word_permutation(graph, swap.compose(axis_reflection(1))),
-    }
-    base = list(exact)
-    for reg, perm in maps.items():
-        if perm is None:
-            continue
-        for u in np.nonzero(region == reg)[0]:
-            exact[u] = base[int(perm[u])]
+    maps = np.stack([  # row r maps a region-r word to its x3=0 branch source
+        word_permutation(graph, swap),
+        word_permutation(graph, swap.compose(axis_reflection(1))),
+        np.arange(count),  # the x3=0 region keeps the constructed branch
+        word_permutation(graph, axis_reflection(2)),
+    ])
+    base = num
+    num = base[maps[region, np.arange(count)]]
 
-    values = np.array([float(x) for x in exact])
+    values = _floats(num, den)
     energy = dirichlet_energy(graph, values)
     brick = BrickFunction(
         kind="boundary_linear", level=n, domain=np.ones(count, dtype=bool),
-        values=values, exact=exact, energy=energy,
+        values=values, num=num, den=den, energy=energy,
         meta={"energy_ladder": ladder, "region": region,
               "region_maps": maps, "ties": ties,
               "overwrite_depth": overwrite_depth, "pre_reflect": base},
     )
     brick.certificates["sandwich"] = sandwich
-
-    # border certificate: exact midpoint values on every border word
-    bdry = graph.boundary()
-    for u in np.nonzero(bdry)[0]:
-        if exact[u] != mid[u]:
-            raise SpecError(
-                f"boundary-linear certificate failed at vertex {u}"
-            )
-    brick.certificates["boundary_midpoints"] = {
-        "pass": True, "checked": int(bdry.sum())
-    }
+    _certify_midpoints(graph, brick)
     return brick
 
 
-_INDEX_WORD_CACHE: dict = {}
-
-
-def _index_word_cached(idx: int, length: int, N: int) -> Word:
-    key = (idx, length, N)
-    w = _INDEX_WORD_CACHE.get(key)
-    if w is None:
-        from .cellgraph import index_word
-
-        w = index_word(idx, length, N)
-        _INDEX_WORD_CACHE[key] = w
-    return w
-
-
-def _midpoints(graph: CellGraph) -> list:
-    scale, side = graph.scale, graph.side_scaled
-    return [
-        Fraction(int(c), scale) + Fraction(side, 2 * scale)
-        for c in graph.corners[:, 0]
-    ]
+def _certify_midpoints(graph: CellGraph, brick: BrickFunction) -> None:
+    """Border certificate: the exact midpoint value on every border word."""
+    u = np.flatnonzero(graph.boundary())
+    mid = (2 * graph.corners[u, 0] + graph.side_scaled).astype(object)
+    _require(brick.num[u] * (2 * graph.scale) == mid * brick.den, u,
+             "boundary-linear certificate failed at vertex {}")
+    brick.certificates["boundary_midpoints"] = {"pass": True, "checked": len(u)}
 
 
 def region_coherence_report(ws: BrickWorkspace, brick: BrickFunction) -> dict:
@@ -520,26 +469,18 @@ def region_coherence_report(ws: BrickWorkspace, brick: BrickFunction) -> dict:
     depth = brick.meta["overwrite_depth"]
     base = brick.meta["pre_reflect"]
     snap = graph.face_set(2, 0)
-    k = ws.spec.k
-    worst_deep = Fraction(0)
-    worst_scaled = 0.0
-    u_arr = np.repeat(np.arange(graph.num_vertices), np.diff(graph.indptr))
-    v_arr = graph.indices
-    cross = region[u_arr] != region[v_arr]
-    for u, v in zip(u_arr[cross].tolist(), v_arr[cross].tolist()):
-        own = maps[int(region[u])]
-        other = maps[int(region[v])]
-        img_self = u if own is None else int(own[u])
-        img_other = u if other is None else int(other[u])
-        delta = abs(base[img_self] - base[img_other])
-        deep = (depth[img_self] == 0 and depth[img_other] == 0
-                and not snap[img_self] and not snap[img_other])
-        if deep:
-            worst_deep = max(worst_deep, delta)
-        else:
-            eff = max(int(depth[img_self]), int(depth[img_other]), 1)
-            worst_scaled = max(worst_scaled, float(delta) * k ** (eff - 1))
-    return {"max_deep_mismatch": worst_deep, "max_scaled_mismatch": worst_scaled}
+    u = np.repeat(np.arange(graph.num_vertices), np.diff(graph.indptr))
+    v = graph.indices
+    cross = region[u] != region[v]
+    u, v = u[cross], v[cross]
+    own = maps[region[u], u]
+    other = maps[region[v], u]
+    delta = np.abs(base[own] - base[other])
+    deep = (depth[own] == 0) & (depth[other] == 0) & ~snap[own] & ~snap[other]
+    eff = np.maximum(np.maximum(depth[own], depth[other]), 1)[~deep]
+    scaled = _floats(delta[~deep], brick.den) * ws.spec.k ** (eff - 1)
+    return {"max_deep_mismatch": Fraction(delta[deep].max(initial=0), brick.den),
+            "max_scaled_mismatch": float(scaled.max(initial=0.0))}
 
 
 # ---------------------------------------------------------------------------
@@ -569,72 +510,52 @@ def build_cutoff(ws: BrickWorkspace, word: Word, n: int, l_star: int,
     count = graph.num_vertices
     bs = spec.N**n
 
-    # f along each axis: pull the x1-profile through the axis swap
-    f_axis = []
-    for o in range(3):
-        if o == 0:
-            perm = np.arange(gn.num_vertices)
-        else:
-            perm = word_permutation(gn, axis_swap(0, o))
-        f_axis.append([fn.exact[int(perm[t])] for t in range(gn.num_vertices)])
+    # f along each axis: pull the x1-profile through the axis swap; f_num
+    # holds the numerators over fn.den
+    perm = np.stack([np.arange(bs)] + [word_permutation(gn, axis_swap(0, o))
+                                       for o in (1, 2)])
+    f_num, f_float = fn.num[perm], fn.values[perm]  # (3, bs)
 
     c_star = ws.c_star
     slope = math.sqrt(3.0) / float(c_star)
-    thr_sq = c_star * c_star / 3  # (c*/sqrt(3))^2, for exact sign decisions
 
     w_idx = word_index(word, spec.N)
     nbhd = neighborhood(base_graph, w_idx, l_star)
-    w_corner = cell_box(spec, word).corner
-    km = Fraction(spec.k) ** m
+    # offsets k^m (corner_p - corner_w) of every level-m prefix, over L
+    corners, _, L = _scaled_geometry(spec, m)
+    offset = corners - corners[w_idx]
+
+    # plateau: every rational affine part must be >= 0 on the word's block
+    t, o = np.nonzero(((f_num < 0) | (f_num > fn.den)).T)
+    if len(t):
+        raise SpecError(
+            f"cutoff plateau certificate failed at {(w_idx, int(t[0]), int(o[0]))}")
+
+    # support: an affine part q = Q / (den L) with Q < 0 and q^2 >= c*^2 / 3,
+    # decided as 3 c_den^2 Q^2 >= c_num^2 (den L)^2
+    f_scaled = f_num * L
+    lhs = 3 * c_star.denominator**2
+    rhs = (c_star.numerator * fn.den * L) ** 2
 
     values = np.empty(count)
-    prefix_words = [
-        _index_word_cached(p, m, spec.N) for p in range(spec.N**m)
-    ]
-    fo_float = [np.array([float(x) for x in f_axis[o]]) for o in range(3)]
-    plateau_fail = support_fail = None
-    for p, pw in enumerate(prefix_words):
-        corner = cell_box(spec, pw).corner
-        delta = [km * (corner[o] - w_corner[o]) for o in range(3)]
-        deltaf = [float(d) for d in delta]
-        block = slice(p * bs, (p + 1) * bs)
-        pieces = np.empty((6, bs))
-        for o in range(3):
-            fo = fo_float[o]
-            pieces[2 * o] = np.maximum(-1.0, slope * (fo + deltaf[o]))
-            pieces[2 * o + 1] = np.maximum(-1.0, slope * (1.0 - fo - deltaf[o]))
-        values[block] = np.minimum(0.0, pieces.min(axis=0)) + 1.0
-
-        if p == w_idx:
-            # plateau: every rational affine part must be >= 0 on the block
-            for t in range(bs):
-                for o in range(3):
-                    if f_axis[o][t] < 0 or f_axis[o][t] > 1:
-                        plateau_fail = (p, t, o)
-        elif not nbhd[p]:
-            # support: some affine part must be <= -c*/sqrt(3), exactly
-            for t in range(bs):
-                ok = False
-                for o in range(3):
-                    q1 = f_axis[o][t] + delta[o]
-                    q2 = 1 - f_axis[o][t] - delta[o]
-                    if (q1 < 0 and q1 * q1 >= thr_sq) or (
-                            q2 < 0 and q2 * q2 >= thr_sq):
-                        ok = True
-                        break
-                if not ok:
-                    support_fail = (p, t)
-                    break
-            if support_fail:
-                break
-
-    if plateau_fail is not None:
-        raise SpecError(f"cutoff plateau certificate failed at {plateau_fail}")
-    if support_fail is not None:
-        raise SpecError(
-            f"cutoff support certificate failed at {support_fail}; "
-            "check l_star/c_star"
-        )
+    for p in range(spec.N**m):
+        delta = offset[p][:, None]
+        shift = delta / L
+        lo = np.maximum(-1.0, slope * (f_float + shift))
+        hi = np.maximum(-1.0, slope * (1.0 - f_float - shift))
+        piece = np.minimum(lo, hi).min(axis=0)
+        values[p * bs:(p + 1) * bs] = np.minimum(0.0, piece) + 1.0
+        if not nbhd[p]:
+            q1 = f_scaled + delta.astype(object) * fn.den
+            q2 = fn.den * L - q1
+            far = (((q1 < 0) & (lhs * q1 * q1 >= rhs))
+                   | ((q2 < 0) & (lhs * q2 * q2 >= rhs)))
+            bad = np.flatnonzero(~far.any(axis=0))
+            if len(bad):
+                raise SpecError(
+                    f"cutoff support certificate failed at {(p, int(bad[0]))}; "
+                    "check l_star/c_star"
+                )
 
     # the exact certificates prove these values; pin them so float rounding
     # at the clip threshold cannot leak into the plateau or the support
@@ -649,7 +570,7 @@ def build_cutoff(ws: BrickWorkspace, word: Word, n: int, l_star: int,
     brick = BrickFunction(
         kind="cutoff", level=level,
         domain=np.ones(count, dtype=bool), values=values,
-        exact=[None] * count, energy=energy,
+        num=None, den=1, energy=energy,
         meta={"word": word, "n": n, "l_star": l_star},
     )
     brick.certificates["plateau"] = {"pass": True, "block": [lo, hi]}

@@ -54,7 +54,7 @@ from .walks import (
     stochasticity_residual,
     wall_hitting_report,
 )
-from .bricks import BrickWorkspace, build_cutoff, region_coherence_report
+from .bricks import BrickWorkspace, build_cutoff
 from .heat import (
     diffusive_window,
     heat_rows,
@@ -370,7 +370,6 @@ def cmd_brick(args) -> int:
         brick = ws.ramp(args.level)
     elif args.kind == "f":
         brick = ws.boundary_linear(args.level)
-        brick.meta["coherence"] = region_coherence_report(ws, brick)
     elif args.kind == "cutoff":
         word = tuple(int(t) for t in args.word.split(",")) if args.word else (0,)
         brick = build_cutoff(ws, word, args.level, args.l_star, opts)

@@ -267,18 +267,6 @@ class Isometry:
         flip = tuple(self.flip[o] ^ other.flip[self.perm[o]] for o in range(3))
         return Isometry(perm, flip)  # type: ignore[arg-type]
 
-    def is_identity(self) -> bool:
-        return self.perm == (0, 1, 2) and self.flip == (False, False, False)
-
-    def face_image(self, axis: int, side: int) -> tuple[int, int]:
-        """Image of the face {x_axis = side} under this isometry."""
-        out_axis = self.perm.index(axis)
-        out_side = 1 - side if self.flip[out_axis] else side
-        return out_axis, out_side
-
-
-IDENTITY = Isometry((0, 1, 2), (False, False, False))
-
 
 def axis_reflection(axis: int) -> Isometry:
     flip = [False, False, False]

@@ -20,12 +20,14 @@ from .cellgraph import CellGraph, build_graph, neighborhood, word_index
 from .geometry import IfsSpec, SpecError, Word
 
 
+MAXITER = 20000  # iteration cap of every PCG and LOBPCG run
+
+
 @dataclass
 class SolveOptions:
     """Iterative solver knobs shared across the module."""
 
     tol: float = 1e-10
-    maxiter: int = 20000
 
     def __post_init__(self) -> None:
         if not (0 < self.tol <= 1e-4):
@@ -83,7 +85,7 @@ def _solve_pd(L: sp.spmatrix, b: np.ndarray, opts: SolveOptions, project=None):
     steps = []
     A = spla.LinearOperator(L.shape, matvec=lambda v: p(L @ p(v)))
     M = spla.LinearOperator(L.shape, matvec=lambda v: p(inv * v))
-    x, code = spla.cg(A, b, rtol=opts.tol, maxiter=opts.maxiter, M=M,
+    x, code = spla.cg(A, b, rtol=opts.tol, maxiter=MAXITER, M=M,
                       callback=lambda _: steps.append(1))
     x = p(x)
     res = np.linalg.norm(L @ x - b) / max(np.linalg.norm(b), 1e-300)
@@ -121,13 +123,15 @@ def poincare_constant(graph, opts: SolveOptions = DEFAULT_OPTS) -> PoincareResul
     """
     L = laplacian(graph)
     size = L.shape[0]
+    if size < 2:
+        raise SpecError("the Poincare constant needs a graph with at least 2 vertices")
     if size - 1 < 5:  # lobpcg wants 5 unconstrained dimensions per block vector
         return _dense_poincare(L)
     tol = opts.tol * 2.0 * float(L.diagonal().max())
     vals, vecs, history = spla.lobpcg(
         L, np.random.default_rng(0).standard_normal((size, 1)),
         M=_word_prefix_preconditioner(L, graph.spec.N, graph.n), Y=np.ones((size, 1)),
-        tol=tol, maxiter=opts.maxiter, largest=False, retResidualNormsHistory=True)
+        tol=tol, maxiter=MAXITER, largest=False, retResidualNormsHistory=True)
     gap, vec = float(vals[0]), vecs[:, 0]
     res = float(np.linalg.norm(L @ vec - gap * vec))
     if gap <= 0 or res > tol:

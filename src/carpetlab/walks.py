@@ -369,8 +369,8 @@ def simulate(kernel: WalkKernel, start, *, paths: int, horizon: int,
     ``Philox`` stream keyed by (seed, p), 256 steps at a time.  ``workers``
     is accepted and ignored: every path runs in the calling thread.
     """
-    if horizon < 1:
-        raise SpecError("horizon must be >= 1")
+    if horizon < 1 or paths < 1:
+        raise SpecError("horizon and paths must be >= 1")
     chunk = 256
     names = list(targets or {})
     cum, tgt = sampling_tables(kernel.P)
@@ -386,6 +386,10 @@ def simulate(kernel: WalkKernel, start, *, paths: int, horizon: int,
         states = np.searchsorted(cdf, draws).astype(np.int64)
     else:
         states = np.asarray(start, dtype=np.int64)[:paths].copy()
+    if len(states) != paths:
+        raise SpecError(f"start gives {len(states)} states for {paths} paths")
+    if states.min() < 0 or states.max() >= kernel.num_states:
+        raise SpecError(f"start states must lie in [0, {kernel.num_states})")
     start_states = states.copy()
 
     first = {name: np.full(paths, -1, dtype=np.int64) for name in names}

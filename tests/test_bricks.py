@@ -9,6 +9,9 @@ import pytest
 from carpetlab.geometry import SpecError, axis_reflection
 from carpetlab.cellgraph import word_permutation
 from carpetlab.bricks import (
+    BrickWorkspace,
+    _certify_midpoints,
+    _certify_ramp,
     axis_projections,
     bottom_slab_mask,
     build_cutoff,
@@ -33,7 +36,7 @@ def test_orbit_symmetrize_bitwise(lab):
     g = lab.graph(1)
     rng = np.random.default_rng(0)
     f = rng.standard_normal(26)
-    sym = orbit_symmetrize(g, f, [axis_reflection(1), axis_reflection(2)])
+    sym = orbit_symmetrize(g, f, 0)
     perm = word_permutation(g, axis_reflection(1))
     assert bool((sym == sym[perm]).all())  # bitwise equality
 
@@ -74,7 +77,7 @@ def test_ramp_level1_is_restricted_minimizer(lab):
     h, _ = ws.harmonic_pair(1)
     dom = np.nonzero(ramp.domain)[0]
     for u in dom:
-        assert float(ramp.exact[u]) == h[u]
+        assert float(F(ramp.num[u], ramp.den)) == h[u]
 
 
 def test_boundary_linear_certificates(lab):
@@ -87,7 +90,7 @@ def test_boundary_linear_certificates(lab):
         bdry = np.nonzero(g.boundary())[0]
         for u in bdry[:: max(1, len(bdry) // 40)]:
             _, _, c = axis_projections(lab.spec, g.word_of(int(u)))
-            assert fb.exact[u] == c
+            assert F(fb.num[u], fb.den) == c
 
 
 def test_boundary_linear_coherence(lab):
@@ -180,3 +183,105 @@ def test_cutoff_energy_band_across_n(lab):
 def test_cutoff_word_required(lab):
     with pytest.raises(SpecError):
         build_cutoff(lab.ws, (), 1, 3)
+
+
+# Mutation checks: each certificate family must reject a brick whose exact
+# values were changed by the smallest step.  Every check builds a fresh
+# workspace, so the session's cached bricks stay intact.
+
+
+def _fresh(lab):
+    return BrickWorkspace(lab.spec, graphs=lab.graphs)
+
+
+def _mirror_fixed(graph, mask):
+    """First vertex in ``mask`` that the x2 reflection leaves in place."""
+    perm = word_permutation(graph, axis_reflection(1))
+    return int(np.flatnonzero(mask & (perm == np.arange(graph.num_vertices)))[0])
+
+
+def _x1_interior(graph):
+    c0 = graph.corners[:, 0]
+    return (c0 != 0) & (c0 + graph.side_scaled != graph.scale)
+
+
+def _assert_rejects(family, u, certify, *args):
+    with pytest.raises(SpecError, match=f"{family} certificate failed at vertex {u}$"):
+        certify(*args)
+
+
+def test_ramp_symmetry_rejects_one_ulp(lab):
+    ws = _fresh(lab)
+    h, hp = ws.harmonic_pair(1)
+    u = int(np.flatnonzero(ws.ramp(1).domain & (h > 0) & (h < 1))[0])
+    h = h.copy()
+    h[u] = np.nextafter(h[u], 2.0)
+    ws._harmonic[1], ws._ramps = (h, hp), {}
+    with pytest.raises(SpecError, match="ramp symmetry certificate failed"):
+        ws.ramp(1)
+
+
+@pytest.mark.parametrize("face,step,check", [
+    (None, 1, "symmetry"), (1, 1, "range"), (0, 1, "zero-boundary"),
+    (1, -1, "one-boundary"),
+])
+def test_ramp_certificates_reject_one_numerator(lab, face, step, check):
+    ws = _fresh(lab)
+    ramp = ws.ramp(1)
+    g = ws.graph(1)
+    if face is None:
+        perm = word_permutation(g, axis_reflection(1))
+        u = int(np.flatnonzero(ramp.domain & (perm != np.arange(26)))[0])
+    else:
+        u = _mirror_fixed(g, ramp.domain & g.face_set(0, face))
+    ramp.num[u] += step
+    _assert_rejects(f"ramp {check}", u, _certify_ramp, ws, ramp)
+
+
+def test_ramp_recursion_rejects_one_numerator(lab):
+    ws = _fresh(lab)
+    ramp = ws.ramp(2)
+    g = ws.graph(2)
+    shelf = bottom_slab_mask(g, depth=2)  # the level-2 recursion set
+    u = _mirror_fixed(g, shelf & _x1_interior(g))
+    ramp.num[u] += 1
+    _assert_rejects("ramp recursion", u, _certify_ramp, ws, ramp)
+
+
+def test_ramp_grid_planes_reject_one_numerator(lab):
+    ws = _fresh(lab)
+    ramp = ws.ramp(3)
+    g = ws.graph(3)
+    # double-bottom words whose last digit is off the x3=2/3 shelf, so the
+    # recursion certificate does not see them
+    c0, side, third = g.corners[:, 0], g.side_scaled, g.scale // 3
+    on_plane = (c0 % third == 0) | ((c0 + side) % third == 0)
+    last_off_shelf = (g.corners[:, 2] // side) % 3 != 2
+    u = _mirror_fixed(g, bottom_slab_mask(g, depth=2) & on_plane & last_off_shelf
+                      & _x1_interior(g))
+    ramp.num[u] += 1
+    _assert_rejects("ramp grid-plane", u, _certify_ramp, ws, ramp)
+
+
+def test_boundary_midpoints_reject_one_numerator(lab):
+    ws = _fresh(lab)
+    fb = ws.boundary_linear(2)
+    g = ws.graph(2)
+    u = int(np.flatnonzero(g.boundary())[7])
+    fb.num[u] += 1
+    _assert_rejects("boundary-linear", u, _certify_midpoints, g, fb)
+
+
+def test_cutoff_plateau_rejects_one_numerator(lab):
+    ws = _fresh(lab)
+    fb = ws.boundary_linear(1)
+    fb.num[5] = fb.den + 1
+    with pytest.raises(SpecError, match="cutoff plateau certificate failed"):
+        build_cutoff(ws, (0,), 1, 3)
+
+
+def test_cutoff_support_rejects_short_radius(lab):
+    # with f in [0, 1] every block at offset >= 2 cells is certified, so the
+    # support check is broken through the neighborhood radius instead
+    with pytest.raises(SpecError, match="cutoff support certificate failed"):
+        build_cutoff(_fresh(lab), (0,), 1, 1)

@@ -213,6 +213,10 @@ BAD_SPECS = {"cells_int": {"cells": 5}, "k_str": {"k": "x"},
     (["nonsense"], 2),
     (["--max-vertices", "100", "graph", "--level", "2"], 3),
     (["walk", "--level", "1", "--paths", "1"], 0),
+    (["constants", "--levels", "0..1"], 2),
+    (["walk", "--level", "0"], 2),
+    (["heat", "--level", "0"], 2),
+    (["graph", "--level", "0"], 0),
 ])
 def test_exit_codes(config26, tmp_path, capsys, args, code):
     spec = json.loads(builtin_config("carpet26"))

@@ -1,11 +1,13 @@
-"""Differential oracles for the array-built construction path and the walks.
+"""Differential oracles for the array-built construction, walks and bricks.
 
 ``golden/construction_hashes.json`` holds SHA-256 hashes of graph, wall and
-kernel arrays written by the per-pair reference construction, and
+kernel arrays written by the per-pair reference construction,
 ``golden/simulate_hashes.json`` those of the Monte Carlo output written by
-the thread-sharded engine; the current code must reproduce both bit for bit.  The level-1 oracle re-derives every
-edge from ``box_intersection`` and the contact rule, pair by pair, and the
-voxel oracle rebuilds on-grid graphs as face graphs of occupied voxels.
+the thread-sharded engine, and ``golden/brick_hashes.json`` those of the
+brick functions written by the per-vertex ``Fraction`` path; the current
+code must reproduce all three bit for bit.  The level-1 oracle re-derives
+every edge from ``box_intersection`` and the contact rule, pair by pair, and
+the voxel oracle rebuilds on-grid graphs as face graphs of occupied voxels.
 """
 
 import importlib.util
@@ -40,6 +42,7 @@ def _hash_module(name):
 
 hashes, REFERENCE = _hash_module("construction_hashes")
 sim_hashes, SIM_REFERENCE = _hash_module("simulate_hashes")
+brick_hashes, BRICK_REFERENCE = _hash_module("brick_hashes")
 
 
 def test_reference_covers_every_case():
@@ -58,6 +61,15 @@ def test_simulate_reference_covers_every_case():
 @pytest.mark.parametrize("case", sim_hashes.cases())
 def test_simulate_hashes_match_reference(case):
     assert sim_hashes.compute(case) == SIM_REFERENCE[case]
+
+
+def test_brick_reference_covers_every_case():
+    assert sorted(BRICK_REFERENCE) == sorted(brick_hashes.cases())
+
+
+@pytest.mark.parametrize("case", brick_hashes.cases())
+def test_brick_hashes_match_reference(case):
+    assert brick_hashes.compute(case) == BRICK_REFERENCE[case]
 
 
 def _oracle_edges(spec, point_contact):

@@ -60,6 +60,11 @@ def test_poincare_toy_values(toy):
     assert abs(poincare_constant(p3).value - 0.5) < 1e-12
 
 
+def test_poincare_needs_two_vertices(toy):
+    with pytest.raises(SpecError, match="at least 2 vertices"):
+        poincare_constant(toy(1, []))
+
+
 def test_poincare_dense_vs_iterative(lab):
     g = lab.graph(2)
     dense = 1.0 / np.linalg.eigvalsh(laplacian(g).toarray())[1]

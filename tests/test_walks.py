@@ -9,6 +9,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from carpetlab.cellgraph import build_graph, build_wall
+from carpetlab.geometry import SpecError
 from carpetlab.spectral import dirichlet_energy
 from carpetlab.walks import (
     WalkKernel,
@@ -367,6 +368,14 @@ def test_simulate_start_on_target_gives_zero(lab):
     sim = simulate(k, start, paths=50, horizon=50, seed=1,
                    oscillation=(t0, g.face_set(0, 1)))
     assert bool((sim.osc_times[:, 0] == 0).all())
+
+
+@pytest.mark.parametrize("start", [np.array([1, 2, 3]), 999, -1])
+def test_simulate_rejects_bad_start(lab, start):
+    g = lab.graph(1)
+    with pytest.raises(SpecError, match="start"):
+        simulate(lab.kernel(1), start, paths=5, horizon=10, seed=1,
+                 oscillation=(g.face_set(0, 0), g.face_set(0, 1)))
 
 
 def test_two_cycle_gap_is_one():
