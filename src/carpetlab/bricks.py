@@ -175,7 +175,7 @@ class BrickWorkspace:
         self.opts = opts
         self.max_vertices = max_vertices
         self.graphs: dict[int, CellGraph] = graphs if graphs is not None else {}
-        self._harmonic: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._harmonic: dict[tuple[int, bool], np.ndarray] = {}
         self._ramps: dict[int, BrickFunction] = {}
         self._boundary_linear: dict[int, BrickFunction] = {}
         self._c_star: Fraction | None = None
@@ -194,20 +194,20 @@ class BrickWorkspace:
 
     # -- harmonic pair ------------------------------------------------
 
-    def harmonic_pair(self, m: int) -> tuple[np.ndarray, np.ndarray]:
-        """(h, h') on level m: the opposite-face and slab-to-face minimizers.
+    def harmonic(self, m: int, slab: bool = False) -> np.ndarray:
+        """h on level m, or h' with ``slab``, each solved on first use.
 
         h is 0 on the x1=0 face and 1 on the x1=1 face; h' is 0 on the whole
         bottom-x3 slab and 1 on the x3=1 face.  Both come back bitwise
-        symmetric under the reflections fixing their boundary data.
+        symmetric under the reflections fixing their boundary data.  A ramp
+        needs h' only one level down, so the two are cached apart.
         """
-        if m not in self._harmonic:
+        if (m, slab) not in self._harmonic:
             g = self.graph(m)
-            h = _pinned_harmonic(g, g.face_set(0, 0), g.face_set(0, 1), 0, self.opts)
-            hp = _pinned_harmonic(g, bottom_slab_mask(g), g.face_set(2, 1), 2,
-                                  self.opts)
-            self._harmonic[m] = (h, hp)
-        return self._harmonic[m]
+            zero, one, axis = ((bottom_slab_mask(g), g.face_set(2, 1), 2) if slab
+                               else (g.face_set(0, 0), g.face_set(0, 1), 0))
+            self._harmonic[(m, slab)] = _pinned_harmonic(g, zero, one, axis, self.opts)
+        return self._harmonic[(m, slab)]
 
     def ramp(self, m: int) -> BrickFunction:
         if m not in self._ramps:
@@ -233,12 +233,12 @@ def build_ramp(ws: BrickWorkspace, m: int) -> BrickFunction:
     spec = ws.spec
     graph = ws.graph(m)
     domain = bottom_slab_mask(graph)
-    h_m, _ = ws.harmonic_pair(m)
+    h_m = ws.harmonic(m)
 
     if m == 1:
         num, den = _lift(np.where(domain, h_m, 0.0))
     else:
-        h_prev, hp_prev = ws.harmonic_pair(m - 1)
+        h_prev, hp_prev = ws.harmonic(m - 1), ws.harmonic(m - 1, slab=True)
         u = np.flatnonzero(domain)
         first, w = np.divmod(u, spec.N ** (m - 1))
         # one power-of-two denominator D for the three minimizers; the x1
@@ -356,7 +356,7 @@ def build_boundary_linear(ws: BrickWorkspace, n: int) -> BrickFunction:
     k = spec.k
     N = spec.N
 
-    seed = ws.harmonic_pair(n)[0]
+    seed = ws.harmonic(n)
     num, den = _lift(seed)
     vals = seed.copy()
     ladder = [dirichlet_energy(graph, seed)]

@@ -247,6 +247,14 @@ def _adjacency(corners: np.ndarray, side: int, grid: np.ndarray,
     return indptr, np.sort(rows * count + np.concatenate(dst + src)) % count
 
 
+def check_budget(spec: IfsSpec, n: int, max_vertices: int) -> None:
+    """Raise unless n >= 0 and the N^n vertices of level n fit in ``max_vertices``."""
+    if n < 0:
+        raise SpecError("level must be >= 0")
+    if spec.N**n > max_vertices:
+        raise BudgetError(f"level {n} needs {spec.N**n} vertices > budget {max_vertices}")
+
+
 def build_graph(
     spec: IfsSpec,
     n: int,
@@ -262,13 +270,7 @@ def build_graph(
     contact is a point (when ``point_contact_edges``) or a segment/rectangle
     whose measure exceeds the threshold C*k^-n / C*k^-2n.
     """
-    if n < 0:
-        raise SpecError("level must be >= 0")
-    count = spec.N**n
-    if count > max_vertices:
-        raise BudgetError(
-            f"level {n} needs {count} vertices > budget {max_vertices}"
-        )
+    check_budget(spec, n, max_vertices)
     _, threshold = edge_threshold_constants(spec)
     corners, scale, side = _scaled_geometry(spec, n)
     grid = _grid_flags(spec, n)

@@ -24,6 +24,7 @@ from .cellgraph import (
     CellGraph,
     build_graph,
     build_wall,
+    check_budget,
     degree_report,
     export_adjacency_json,
     load_graph,
@@ -121,12 +122,16 @@ def _out_dir(args) -> str:
 
 
 def _graph_cached(args, spec: IfsSpec, level: int) -> CellGraph:
+    """The cached graph under --out, rebuilt if unusable; both obey --max-vertices."""
+    check_budget(spec, level, args.max_vertices)
     cache_dir = os.path.join(args.out, "cache")
     os.makedirs(cache_dir, exist_ok=True)
     path = os.path.join(cache_dir, f"{spec.spec_hash()[:16]}_n{level}.graph")
     if not args.no_cache and os.path.exists(path):
         try:
-            return load_graph(spec, path)
+            graph = load_graph(spec, path)
+            if (graph.n, graph.point_contact_edges) == (level, True):
+                return graph
         except SpecError:
             pass
     graph = build_graph(spec, level, max_vertices=args.max_vertices)

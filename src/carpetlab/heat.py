@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .cellgraph import CellGraph, _bfs_depths
+from .cellgraph import CellGraph, _bfs_depths, build_graph
 from .geometry import SpecError
-from .spectral import SolveOptions, DEFAULT_OPTS, _solve_pd, dirichlet_energy, laplacian
+from .spectral import SolveOptions, DEFAULT_OPTS, _solve_pd, dirichlet_energy
 from .walks import WalkKernel, lazy_kernel
 
 
@@ -127,27 +128,25 @@ def subgaussian_fit(snapshots: list[KernelSnapshot], d_h: float, d_w: float,
         logs.append(np.log(np.mean(vals)))
     slope, _, r2 = _linfit(np.log(np.array(times, float)), np.array(logs))
 
+    # shell d of a source: the vertices at distance d (-1 marks unreached ones)
+    reached = {s: distances[s] >= 0 for s in sources}
+    sizes = {s: np.bincount(distances[s][reached[s]]) for s in sources}
     off = {}
     for snap in snapshots:
         t = snap.time
         xs, ys = [], []
         for s in sources:
-            dist = distances[s]
-            row = snap.rows[s]
-            dmax = int(dist.max())
-            shell_mean = np.zeros(dmax + 1)
-            for d in range(dmax + 1):
-                sel = dist == d
-                if sel.any():
-                    shell_mean[d] = row[sel].mean()
+            sums = np.bincount(distances[s][reached[s]], weights=snap.rows[s][reached[s]],
+                               minlength=len(sizes[s]))
+            shell_mean = sums / np.maximum(sizes[s], 1)  # an empty shell holds 0
             # sub-Gaussian range: beyond the diffusive scale, positive mass
-            d_lo = max(1, int(round(t ** (1.0 / d_w))))
-            for d in range(d_lo, dmax + 1):
-                if shell_mean[d] > 1e-290:
-                    xs.append((d**d_w / t) ** (1.0 / (d_w - 1.0)))
-                    ys.append(math.log(shell_mean[d]))
+            d = np.arange(max(1, int(round(t ** (1.0 / d_w)))), len(shell_mean))
+            d = d[shell_mean[d] > 1e-290]
+            xs.append((d**d_w / t) ** (1.0 / (d_w - 1.0)))
+            ys.append(np.log(shell_mean[d]))
+        xs, ys = np.concatenate(xs), np.concatenate(ys)
         if len(xs) >= 4:
-            s_off, b_off, r2_off = _linfit(np.array(xs), np.array(ys))
+            s_off, b_off, r2_off = _linfit(xs, ys)
             off[t] = {"slope": s_off, "intercept": b_off, "r2": r2_off,
                       "points": len(xs)}
     return SubGaussianFit(
@@ -167,123 +166,108 @@ class BallCheckReport:
     rows: list[dict]
 
     def band(self, key: str) -> float:
-        vals = [r[key] for r in self.rows if r.get(key) is not None]
-        if not vals:
-            return math.inf
+        vals = [r[key] for r in self.rows]
         return max(vals) / min(vals)
 
 
+def _csr_entries(graph: CellGraph, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position in ``rows`` and neighbor of every adjacency entry of ``rows``."""
+    start = graph.indptr[rows]
+    count = graph.indptr[rows + 1] - start
+    pos = np.repeat(np.arange(len(rows)), count)
+    offset = np.arange(len(pos)) - np.repeat(np.cumsum(count) - count, count)
+    return pos, graph.indices[start[pos] + offset]
+
+
 def _ball_poincare(graph: CellGraph, pi: np.ndarray, ball: np.ndarray,
-                   ball2: np.ndarray, opts: SolveOptions) -> float:
+                   ball2: np.ndarray) -> float:
     """Worst-f variance-on-B over energy-on-2B (generalized eigenvalue).
 
-    The variance form in pi-weights is diag(p) - p p^T / mass, with p equal
-    to pi on B and 0 on the rest of 2B.  Both forms are constant-invariant,
-    so pinning the first vertex of 2B to 0 leaves the sup unchanged.
+    The variance form in pi-weights, diag(p) - p p^T / mass, lives on B.  For
+    fixed f on B the energy on 2B is least for the harmonic extension to
+    C = 2B minus B, where it is f^T S f with the Schur complement S = L_BB -
+    L_BC L_CC^-1 L_CB of the Laplacian induced on 2B.  L_CC is nonsingular
+    because every vertex of a BFS ball reaches B inside 2B.  Both forms are
+    constant-invariant, so pinning the first vertex of B leaves the sup
+    unchanged.
     """
-    keep = np.nonzero(ball2)[0]
-    if len(keep) < 3:
-        return 0.0
-    pib = pi[keep].astype(float) * ball[keep]
-    mass = pib.sum()
-    p = pib[1:]
-    L_red = laplacian(graph, ball2)[1:, 1:]
-    if len(p) <= 1200:
-        A = np.diag(p) - np.outer(p, p) / mass
-        top = len(p) - 1
-        vals = sla.eigh(A, L_red.toarray(), eigvals_only=True,
-                        subset_by_index=[top, top])
-        return float(vals[0])
-
-    def a_mat(f):
-        return p * (f - (p @ f) / mass)
-
-    # power iteration on L^-1 M (similar to a symmetric PSD operator)
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal(len(p))
-    val = 0.0
-    for _ in range(300):
-        y, _ = _solve_pd(L_red, a_mat(x), opts)
-        norm = np.linalg.norm(y)
-        if norm == 0:
-            return 0.0
-        y /= norm
-        new = float(y @ a_mat(y)) / float(y @ (L_red @ y))
-        if abs(new - val) <= 1e-9 * max(new, 1e-300):
-            val = new
-            break
-        val = new
-        x = y
-    return val
+    keep = np.flatnonzero(ball2)
+    inner = ball[keep]
+    size, nb = len(keep), int(inner.sum())
+    # the Laplacian induced on 2B, numbered B first (2 vertices or more for
+    # r >= 2), then C (nonempty: 2B reaches depth r), each in vertex order
+    rank = np.empty(size, dtype=np.int64)
+    rank[np.argsort(~inner, kind="stable")] = np.arange(size)
+    at, nbr = _csr_entries(graph, keep)
+    pos = np.minimum(np.searchsorted(keep, nbr), size - 1)
+    induced = keep[pos] == nbr
+    u, v, diag = rank[at[induced]], rank[pos[induced]], np.arange(size)
+    L = sp.csr_matrix(
+        (np.r_[np.full(len(u), -2.0), 2.0 * np.bincount(u, minlength=size)],
+         (np.r_[u, diag], np.r_[v, diag])), shape=(size, size))
+    rows_b = L[:nb].toarray()
+    cross = rows_b[:, nb:]
+    schur = rows_b[:, :nb] - cross @ spla.splu(L[nb:, nb:].tocsc()).solve(cross.T.copy())
+    p = pi[keep[inner]].astype(float)
+    variance = np.diag(p) - np.outer(p, p) / p.sum()
+    vals = sla.eigh(variance[1:, 1:], schur[1:, 1:], eigvals_only=True,
+                    subset_by_index=[nb - 2, nb - 2])
+    return float(vals[0])
 
 
-class _TentCache:
-    """Resistance-optimal block tents, shared across centers and radii."""
+def _tents(graph: CellGraph, m: int, blocks: list[int], cache: dict,
+           opts: SolveOptions) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Indices and values of each block's tent on the block and its block ring.
 
-    def __init__(self, graph: CellGraph, opts: SolveOptions):
-        self.graph = graph
-        self.opts = opts
-        self.L = laplacian(graph)
-        self.cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._block_adj: dict[int, sp.csr_matrix] = {}
-
-    def block_adjacency(self, m: int) -> sp.csr_matrix:
-        if m not in self._block_adj:
-            g = self.graph
-            bs = g.spec.N**m
-            blocks = g.num_vertices // bs
-            u = np.repeat(np.arange(g.num_vertices), np.diff(g.indptr)) // bs
-            v = g.indices // bs
-            keep = u != v
-            data = np.ones(keep.sum())
-            adj = sp.coo_matrix((data, (u[keep], v[keep])),
-                                shape=(blocks, blocks)).tocsr()
-            adj.data[:] = 1.0
-            self._block_adj[m] = adj
-        return self._block_adj[m]
-
-    def tent(self, m: int, block: int) -> tuple[np.ndarray, np.ndarray]:
-        """Indices and values of the tent on the block and its block ring.
-
-        The tent is 1 on the block, harmonic on the neighbor blocks and 0
-        beyond them.  Every neighbor of a vertex in a neighbor block lies in
-        the block, a neighbor block or the second block ring, so the level
-        Laplacian's rows there are those of the Laplacian induced on the
-        three.
-        """
-        key = (m, block)
-        if key not in self.cache:
-            bs = self.graph.spec.N**m
-            inside = np.arange(block * bs, (block + 1) * bs)
-            ring1 = np.sort(self.block_adjacency(m)[block].indices)
-            free = (ring1[:, None] * bs + np.arange(bs)).ravel()
-            x = np.zeros(0)
-            if len(free):
-                rows = self.L[free]
-                rhs = -np.asarray(rows[:, inside].sum(axis=1)).ravel()
-                x, _ = _solve_pd(rows[:, free], rhs, self.opts)
-            self.cache[key] = (np.concatenate([inside, free]),
-                               np.concatenate([np.ones(bs), x]))
-        return self.cache[key]
+    The tent is 1 on the block, harmonic on the neighbor blocks and 0 beyond
+    them.  ``cache`` maps (m, block) to tents, shared across centers and
+    radii.  The tents not cached yet are solved together: one block-diagonal
+    system holds, for each, the level Laplacian's rows 2 deg(u) e_u -
+    2 sum_{v ~ u} e_v at its ring vertices, restricted to the ring, with the
+    block's 1 moved to the right-hand side.
+    """
+    bs = graph.spec.N**m
+    todo = np.array([b for b in blocks if (m, b) not in cache], dtype=np.int64)
+    if len(todo):
+        # sorted keys tent * nblocks + ring block; a key's position times bs
+        # is where that ring block's vertices sit in the system
+        nblocks = graph.num_vertices // bs
+        at, nbr = _csr_entries(graph, (todo[:, None] * bs + np.arange(bs)).ravel())
+        keys = np.unique(at // bs * nblocks + nbr // bs)
+        keys = keys[keys % nblocks != todo[keys // nblocks]]
+        tent, ring = np.divmod(keys, nblocks)
+        free = (ring[:, None] * bs + np.arange(bs)).ravel()
+        row, nbr = _csr_entries(graph, free)
+        owner = tent[row // bs]
+        key = owner * nblocks + nbr // bs
+        at = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+        link = keys[at] == key
+        diag = np.arange(len(free))
+        A = sp.csr_matrix(
+            (np.r_[np.full(link.sum(), -2.0), 2.0 * graph.degrees[free]],
+             (np.r_[row[link], diag], np.r_[at[link] * bs + nbr[link] % bs, diag])),
+            shape=(len(free), len(free)))
+        rhs = 2.0 * np.bincount(row, weights=nbr // bs == todo[owner],
+                                minlength=len(free))
+        x, _ = _solve_pd(A, rhs, opts)
+        stops = np.cumsum(np.bincount(tent, minlength=len(todo))) * bs
+        for b, lo, hi in zip(todo.tolist(), np.r_[0, stops[:-1]], stops):
+            cache[(m, b)] = (
+                np.concatenate([np.arange(b * bs, (b + 1) * bs), free[lo:hi]]),
+                np.concatenate([np.ones(bs), x[lo:hi]]))
+    return [cache[(m, b)] for b in blocks]
 
 
 def _block_diameters(graph: CellGraph, spec_graphs: dict[int, CellGraph],
                      max_m: int) -> dict[int, int]:
     """BFS diameter of the level-m graph for m = 0..max_m (cached builds)."""
-    from .cellgraph import build_graph
-
     out = {0: 0}
     for m in range(1, max_m + 1):
-        g = spec_graphs.get(m)
-        if g is None:
-            g = build_graph(graph.spec, m)
-            spec_graphs[m] = g
-        ecc = 0
+        if m not in spec_graphs:
+            spec_graphs[m] = build_graph(graph.spec, m)
+        g = spec_graphs[m]
         seeds = range(0, g.num_vertices, max(1, g.num_vertices // 8))
-        for s in seeds:
-            depth = _bfs_depths(g, int(s))
-            ecc = max(ecc, int(depth.max()))
-        out[m] = ecc
+        out[m] = max(int(_bfs_depths(g, s).max()) for s in seeds)
     return out
 
 
@@ -294,42 +278,46 @@ def ball_checks(graph: CellGraph, pi: np.ndarray, d_h: float, d_w: float,
                 ) -> BallCheckReport:
     """Volume, Poincare and capacity ratios over a (center, radius) sample.
 
-    Volume: pi(B)/r^d_H.  Poincare: worst-f variance/energy against r^d_W.
-    Capacity: energy of a max-of-block-tents cutoff that is 1 on B and 0 off
-    2B, against r^(d_H - d_W).  Centers must sit 2r away from the border.
+    Volume: pi(B)/r^d_H.  Poincare: worst-f variance/energy against r^d_W,
+    a dense eigenproblem on B after the Schur reduction of 2B (see
+    ``_ball_poincare``).  Capacity: energy of a max-of-block-tents cutoff
+    that is 1 on B and 0 off 2B, against r^(d_H - d_W); a ball's uncached
+    tents are solved as one system, and the energy is summed over the edges
+    at the cutoff's support.  Every ball works on index sets read from the
+    CSR arrays, never on sliced whole-graph matrices.  Centers must sit 2r
+    away from the border.
     """
     helper_graphs = helper_graphs if helper_graphs is not None else {}
     diam = _block_diameters(graph, helper_graphs, max_m=max(1, graph.n - 1))
-    tents = _TentCache(graph, opts)
+    tent_cache = {}
     bdry_depth = _bfs_depths(graph, np.nonzero(graph.boundary())[0])
     rows = []
     for c in centers:
-        depth = _bfs_depths(graph, c)
+        depth = _bfs_depths(graph, c, limit=2 * max(radii, default=0))
         for r in radii:
-            if r < 2:
-                continue
-            if bdry_depth[c] <= 2 * r:
+            if r < 2 or bdry_depth[c] <= 2 * r:
                 continue  # needs clearance from the border
             ball = (depth >= 0) & (depth < r)
             ball2 = (depth >= 0) & (depth < 2 * r)
             vol = float(pi[ball].sum()) / r**d_h
-            poin = _ball_poincare(graph, pi, ball, ball2, opts) / r**d_w
+            poin = _ball_poincare(graph, pi, ball, ball2) / r**d_w
             # capacity: blocks of the largest m whose diameter fits r/2
-            m = 0
-            for mm in range(1, graph.n):
-                if 2 * (diam[mm] + 1) <= r:
-                    m = mm
-            bs = graph.spec.N**m
-            blocks = sorted(set((np.nonzero(ball)[0] // bs).tolist()))
+            m = max((mm for mm in range(1, graph.n) if 2 * (diam[mm] + 1) <= r),
+                    default=0)
+            blocks = np.unique(np.flatnonzero(ball) // graph.spec.N**m).tolist()
             psi = np.zeros(graph.num_vertices)
-            for b in blocks:
-                idx, vals = tents.tent(m, int(b))
+            for idx, vals in _tents(graph, m, blocks, tent_cache, opts):
                 psi[idx] = np.maximum(psi[idx], vals)
-            energy = dirichlet_energy(graph, psi)
             if not (psi[ball] == 1.0).all():
                 raise SpecError("tent cutoff is not 1 on the ball")
             if (psi[~ball2] != 0.0).any():
                 raise SpecError("tent cutoff leaks outside the double ball")
+            # ordered-pair energy on the edges at psi's support; an edge
+            # leaving the support is met from one end only, so it counts twice
+            support = np.flatnonzero(psi)
+            at, nbr = _csr_entries(graph, support)
+            diff = psi[support][at] - psi[nbr]
+            energy = float(diff**2 @ np.where(psi[nbr] == 0.0, 2.0, 1.0))
             cap = energy / r ** (d_h - d_w)
             rows.append({
                 "center": int(c), "radius": int(r), "tent_level": m,

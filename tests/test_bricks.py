@@ -8,6 +8,7 @@ import pytest
 
 from carpetlab.geometry import SpecError, axis_reflection
 from carpetlab.cellgraph import word_permutation
+from carpetlab import bricks
 from carpetlab.bricks import (
     BrickWorkspace,
     _certify_midpoints,
@@ -44,7 +45,7 @@ def test_orbit_symmetrize_bitwise(lab):
 def test_harmonic_pair(lab):
     ws = lab.ws
     for m in (1, 2):
-        h, hp = ws.harmonic_pair(m)
+        h, hp = ws.harmonic(m), ws.harmonic(m, slab=True)
         g = ws.graph(m)
         assert h.min() >= 0 and h.max() <= 1
         # minimizer energy equals the inverse face resistance
@@ -57,6 +58,21 @@ def test_harmonic_pair(lab):
         # slab minimizer is pinned exactly
         assert bool((hp[bottom_slab_mask(g)] == 0.0).all())
         assert bool((hp[g.face_set(2, 1)] == 1.0).all())
+
+
+def test_each_minimizer_solved_once(lab, monkeypatch):
+    # a ramp needs h at its level and h' one level down, so bricks at levels
+    # 1..3 solve h three times and h' twice
+    calls = []
+    solve = bricks._pinned_harmonic
+    monkeypatch.setattr(bricks, "_pinned_harmonic",
+                        lambda *args: calls.append(args) or solve(*args))
+    ws = _fresh(lab)
+    for m in (1, 2, 3):
+        ws.ramp(m)
+    for n in (1, 2, 3):
+        ws.boundary_linear(n)
+    assert len(calls) == 5
 
 
 def test_ramp_certificates(lab):
@@ -74,7 +90,7 @@ def test_ramp_certificates(lab):
 def test_ramp_level1_is_restricted_minimizer(lab):
     ws = lab.ws
     ramp = ws.ramp(1)
-    h, _ = ws.harmonic_pair(1)
+    h = ws.harmonic(1)
     dom = np.nonzero(ramp.domain)[0]
     for u in dom:
         assert float(F(ramp.num[u], ramp.den)) == h[u]
@@ -212,11 +228,11 @@ def _assert_rejects(family, u, certify, *args):
 
 def test_ramp_symmetry_rejects_one_ulp(lab):
     ws = _fresh(lab)
-    h, hp = ws.harmonic_pair(1)
+    h = ws.harmonic(1)
     u = int(np.flatnonzero(ws.ramp(1).domain & (h > 0) & (h < 1))[0])
     h = h.copy()
     h[u] = np.nextafter(h[u], 2.0)
-    ws._harmonic[1], ws._ramps = (h, hp), {}
+    ws._harmonic[(1, False)], ws._ramps = h, {}
     with pytest.raises(SpecError, match="ramp symmetry certificate failed"):
         ws.ramp(1)
 

@@ -5,7 +5,8 @@ import os
 
 import pytest
 
-from carpetlab import builtin_config
+from carpetlab import builtin_config, builtin_spec
+from carpetlab.cellgraph import build_graph, save_graph
 from carpetlab.cli import main
 
 
@@ -72,6 +73,36 @@ def test_graph_command_rebuilds_truncated_cache(config26, tmp_path):
         assert main(argv) == 0
         assert (out / "graph_n2.json").read_bytes() == stats
         assert cache.read_bytes() == full
+
+
+@pytest.mark.parametrize("command", [["graph", "--level", "2"],
+                                     ["heat", "--level", "2", "--times", "1,2"]])
+def test_cached_graph_obeys_budget(config26, tmp_path, capsys, command):
+    out = str(tmp_path / "b")
+    assert main(["--spec", config26, "--out", out, "graph", "--level", "2"]) == 0
+    capsys.readouterr()
+    argv = ["--spec", config26, "--out", out, "--max-vertices", "100", *command]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err == ("error: level 2 needs 676 vertices > budget 100; "
+                   "lower the level or raise --max-vertices\n")
+
+
+@pytest.mark.parametrize("level,point_contact", [(1, True), (2, False)])
+def test_graph_cache_of_another_graph_is_rebuilt(config26, tmp_path, level,
+                                                 point_contact):
+    out = tmp_path / "w"
+    argv = ["--spec", config26, "--out", str(out), "graph", "--level", "2"]
+    assert main(argv) == 0
+    stats = (out / "graph_n2.json").read_bytes()
+    (cache,) = (out / "cache").iterdir()
+    full = cache.read_bytes()
+    spec = builtin_spec("carpet26")
+    save_graph(build_graph(spec, level, point_contact_edges=point_contact), str(cache))
+    assert cache.read_bytes() != full
+    assert main(argv) == 0
+    assert (out / "graph_n2.json").read_bytes() == stats
+    assert cache.read_bytes() == full
 
 
 def test_graph_overlapping_spec_exits_2(tmp_path, capsys):

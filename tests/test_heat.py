@@ -4,15 +4,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import carpetlab as cl
 from carpetlab.geometry import SpecError
 from carpetlab.cellgraph import _bfs_depths, build_graph, walk_measure
-from carpetlab.spectral import DEFAULT_OPTS, laplacian
+from carpetlab.spectral import DEFAULT_OPTS, dirichlet_energy, laplacian
 from carpetlab.walks import WalkKernel
 from carpetlab.heat import (
     _ball_poincare,
+    _block_diameters,
+    _tents,
     admissible_centers,
     ball_checks,
     besov_comparison,
@@ -110,6 +114,49 @@ def test_off_diag_slopes_negative(lab):
         assert rep["slope"] < 0
 
 
+def loop_off_diag(snapshots, d_w, distances):
+    """Oracle: the off-diagonal fits with one mask per distance shell."""
+    off = {}
+    for snap in snapshots:
+        t = snap.time
+        xs, ys = [], []
+        for s, row in snap.rows.items():
+            dist = distances[s]
+            dmax = int(dist.max())
+            shell_mean = np.zeros(dmax + 1)
+            for d in range(dmax + 1):
+                sel = dist == d
+                if sel.any():
+                    shell_mean[d] = row[sel].mean()
+            d_lo = max(1, int(round(t ** (1.0 / d_w))))
+            for d in range(d_lo, dmax + 1):
+                if shell_mean[d] > 1e-290:
+                    xs.append((d**d_w / t) ** (1.0 / (d_w - 1.0)))
+                    ys.append(math.log(shell_mean[d]))
+        if len(xs) >= 4:
+            A = np.vstack([xs, np.ones(len(xs))]).T
+            (slope, intercept), res, *_ = np.linalg.lstsq(A, ys, rcond=None)
+            r2 = 1.0 - res[0] / ((ys - np.mean(ys)) ** 2).sum()
+            off[t] = {"slope": slope, "intercept": intercept, "r2": r2,
+                      "points": len(xs)}
+    return off
+
+
+def test_subgaussian_fit_matches_shell_loop(lab):
+    g = lab.graph(3)
+    times = [4, 8, 16, 32, 64, 128]
+    snaps = heat_rows(lab.kernel(3), [0, 5000, 9000], times, theta=0.5)
+    # a BFS limit leaves vertices unreached (-1), which no shell holds
+    dist = {0: _bfs_depths(g, 0), 5000: _bfs_depths(g, 5000, limit=12),
+            9000: _bfs_depths(g, 9000)}
+    assert (dist[5000] < 0).any()
+    got = subgaussian_fit(snaps, D_H, D_W, dist).off_diag
+    want = loop_off_diag(snaps, D_W, dist)
+    assert got.keys() == want.keys() and len(want) == len(times)
+    for t in times:
+        assert got[t] == pytest.approx(want[t], rel=1e-12, abs=0), t
+
+
 def test_ball_checks_level3_smoke(lab):
     g = lab.graph(3)
     pi = walk_measure(g)
@@ -123,24 +170,112 @@ def test_ball_checks_level3_smoke(lab):
         assert row["volume_ratio"] > 0
 
 
-def test_ball_poincare_large_ball(lab):
-    # a double ball of 1399 vertices takes the PCG power iteration, checked
-    # against the dense generalized eigenproblem
-    import scipy.linalg as sla
+def dense_ball_poincare(graph, pi, ball, ball2):
+    """Oracle: the generalized eigenproblem on all of 2B, dense, first vertex pinned."""
+    keep = np.nonzero(ball2)[0]
+    p = pi[keep].astype(float) * ball[keep]
+    variance = np.diag(p) - np.outer(p, p) / p.sum()
+    L = laplacian(graph, ball2).toarray()
+    return sla.eigh(variance[1:, 1:], L[1:, 1:], eigvals_only=True)[-1]
 
+
+def block_adjacency(graph, m):
+    """Oracle: adjacency of the level-m blocks of ``graph`` (self-loops dropped)."""
+    bs = graph.spec.N**m
+    blocks = graph.num_vertices // bs
+    u = np.repeat(np.arange(graph.num_vertices), np.diff(graph.indptr)) // bs
+    v = graph.indices // bs
+    keep = u != v
+    return sp.coo_matrix((np.ones(keep.sum()), (u[keep], v[keep])),
+                         shape=(blocks, blocks)).tocsr()
+
+
+def sliced_tent(L, block_adj, m, block, N):
+    """Oracle: one tent's Dirichlet problem sliced out of the level Laplacian,
+    solved directly."""
+    bs = N**m
+    inside = np.arange(block * bs, (block + 1) * bs)
+    ring1 = np.sort(block_adj[block].indices)
+    free = (ring1[:, None] * bs + np.arange(bs)).ravel()
+    rows = L[free]
+    rhs = -np.asarray(rows[:, inside].sum(axis=1)).ravel()
+    x = spla.spsolve(rows[:, free].tocsc(), rhs)
+    return np.concatenate([inside, free]), np.concatenate([np.ones(bs), x])
+
+
+def oracle_ball_checks(graph, pi, d_h, d_w, centers, radii, helper_graphs):
+    """Oracle: the ball rows from whole-graph BFS, dense 2B eigenproblems,
+    sliced tents and the whole-graph energy."""
+    diam = _block_diameters(graph, helper_graphs, max_m=max(1, graph.n - 1))
+    L = laplacian(graph)
+    block_adj = {m: block_adjacency(graph, m) for m in range(graph.n)}
+    bdry_depth = _bfs_depths(graph, np.nonzero(graph.boundary())[0])
+    rows = []
+    for c in centers:
+        depth = _bfs_depths(graph, c)
+        for r in radii:
+            if r < 2 or bdry_depth[c] <= 2 * r:
+                continue
+            ball = (depth >= 0) & (depth < r)
+            ball2 = (depth >= 0) & (depth < 2 * r)
+            m = max([mm for mm in range(1, graph.n) if 2 * (diam[mm] + 1) <= r],
+                    default=0)
+            psi = np.zeros(graph.num_vertices)
+            for b in sorted(set((np.nonzero(ball)[0] // graph.spec.N**m).tolist())):
+                idx, vals = sliced_tent(L, block_adj[m], m, b, graph.spec.N)
+                psi[idx] = np.maximum(psi[idx], vals)
+            rows.append({
+                "center": int(c), "radius": int(r), "tent_level": m,
+                "volume_ratio": float(pi[ball].sum()) / r**d_h,
+                "poincare_ratio": dense_ball_poincare(graph, pi, ball, ball2) / r**d_w,
+                "capacity_ratio": dirichlet_energy(graph, psi) / r ** (d_h - d_w),
+            })
+    return rows
+
+
+def test_ball_poincare_large_ball(lab):
+    # a double ball of 1399 vertices, far above the certify radii
     g = lab.graph(3)
     pi = walk_measure(g)
     center = int(np.argmax(_bfs_depths(g, np.nonzero(g.boundary())[0])))
     depth = _bfs_depths(g, center)
     ball, ball2 = (depth >= 0) & (depth < 6), (depth >= 0) & (depth < 12)
-    assert ball2.sum() > 1201
-    keep = np.nonzero(ball2)[0]
-    pib = pi[keep].astype(float) * ball[keep]
-    variance = np.diag(pib) - np.outer(pib, pib) / pib.sum()
-    L = laplacian(g, ball2).toarray()
-    dense = sla.eigh(variance[1:, 1:], L[1:, 1:], eigvals_only=True)[-1]
-    got = _ball_poincare(g, pi, ball, ball2, DEFAULT_OPTS)
-    assert got == pytest.approx(dense, rel=1e-6)
+    assert ball2.sum() == 1399
+    got = _ball_poincare(g, pi, ball, ball2)
+    assert got == pytest.approx(dense_ball_poincare(g, pi, ball, ball2), rel=1e-10)
+
+
+@pytest.mark.parametrize("name,n,radii,count", [("carpet26", 3, [2, 3, 4], 20),
+                                                ("offgrid158", 2, [2, 3], 8)])
+def test_ball_checks_match_oracle(graph_of, name, n, radii, count):
+    graphs = {m: graph_of(name, m) for m in range(1, n + 1)}
+    g = graphs[n]
+    pi = walk_measure(g)
+    spec = g.spec
+    d_h = math.log(spec.N) / math.log(spec.k)
+    centers = admissible_centers(g, r_max=max(radii), count=count)
+    got = ball_checks(g, pi, d_h, D_W, centers, radii, helper_graphs=dict(graphs))
+    want = oracle_ball_checks(g, pi, d_h, D_W, centers, radii, dict(graphs))
+    assert len(got.rows) == len(want) == len(centers) * len(radii)
+    for row, ref in zip(got.rows, want):
+        assert row == pytest.approx(ref, rel=1e-10, abs=0)
+
+
+def test_level1_tents_match_oracle(lab):
+    # no admissible radius at level 3 reaches m = 1, so check those tents
+    # directly, in one batch.  PCG stops at relative residual 1e-10, which
+    # leaves errors near 1e-9 in the smallest values of these ring systems of
+    # a few hundred vertices; the m = 0 tents of the rows above are solved
+    # to round-off
+    g = lab.graph(3)
+    cache = {}
+    blocks = [0, 13, 100]
+    L, block_adj = laplacian(g), block_adjacency(g, 1)
+    for (idx, vals), b in zip(_tents(g, 1, blocks, cache, DEFAULT_OPTS), blocks):
+        want_idx, want_vals = sliced_tent(L, block_adj, 1, b, 26)
+        assert np.array_equal(idx, want_idx)
+        assert vals == pytest.approx(want_vals, rel=1e-8, abs=0)
+    assert set(cache) == {(1, b) for b in blocks}
 
 
 def test_ball_checks_requires_clearance(lab):
