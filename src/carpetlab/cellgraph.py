@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -66,8 +67,30 @@ def _digit_arrays(n: int, N: int, count: int) -> list[np.ndarray]:
     return out
 
 
+class _Edges:
+    """Neighbour lists in CSR form (``indptr``, ``indices``)."""
+
+    @property
+    def num_vertices(self) -> int:
+        return len(self.indptr) - 1
+
+    def neighbors(self, u: int) -> np.ndarray:
+        return self.indices[self.indptr[u] : self.indptr[u + 1]]
+
+    def adjacency(self) -> csr_matrix:
+        """A new unit-weight adjacency matrix."""
+        data = np.ones(len(self.indices), dtype=np.float64)
+        v = self.num_vertices
+        return csr_matrix((data, self.indices, self.indptr), shape=(v, v))
+
+    @cached_property
+    def _bfs_adjacency(self) -> csr_matrix:
+        """The adjacency that every breadth-first search of this graph reuses."""
+        return self.adjacency()
+
+
 @dataclass
-class CellGraph:
+class CellGraph(_Edges):
     """Immutable level-n cell graph with face sets and contact metadata."""
 
     spec: IfsSpec
@@ -82,20 +105,8 @@ class CellGraph:
     point_contact_edges: bool
 
     @property
-    def num_vertices(self) -> int:
-        return len(self.indptr) - 1
-
-    @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr).astype(np.int64)
-
-    def adjacency(self) -> csr_matrix:
-        data = np.ones(len(self.indices), dtype=np.float64)
-        v = self.num_vertices
-        return csr_matrix((data, self.indices, self.indptr), shape=(v, v))
-
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
     def face_set(self, axis: int, side: int) -> np.ndarray:
         if side == 0:
@@ -301,8 +312,9 @@ def build_graph(
 
 def _bfs_depths(graph: CellGraph, start: int | np.ndarray, limit: int | None = None):
     """Edge distance from the nearest start vertex; -1 beyond ``limit``."""
-    dist = dijkstra(graph.adjacency(), indices=np.atleast_1d(start), unweighted=True,
-                    limit=np.inf if limit is None else limit, min_only=True)
+    dist = dijkstra(graph._bfs_adjacency, indices=np.atleast_1d(start),
+                    unweighted=True, limit=np.inf if limit is None else limit,
+                    min_only=True)
     return np.where(np.isfinite(dist), dist, -1).astype(np.int64)
 
 
@@ -408,7 +420,7 @@ def degree_report(graph: CellGraph) -> dict:
 
 
 @dataclass
-class WallGraph:
+class WallGraph(_Edges):
     """Stack of level-n blocks over the bottom-face (x2=0) level-m prefixes.
 
     Vertices are (prefix, suffix) pairs ordered lexicographically; adjacency
@@ -429,24 +441,12 @@ class WallGraph:
     cell_graph: CellGraph  # the level-n graph the wall folds onto
 
     @property
-    def num_vertices(self) -> int:
-        return len(self.indptr) - 1
-
-    @property
     def block_size(self) -> int:
         return self.spec.N**self.n
-
-    def neighbors(self, u: int) -> np.ndarray:
-        return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
     def vertex_word(self, u: int) -> Word:
         b = self.block_size
         return self.prefixes[u // b] + index_word(u % b, self.n, self.spec.N)
-
-    def adjacency(self) -> csr_matrix:
-        data = np.ones(len(self.indices), dtype=np.float64)
-        v = self.num_vertices
-        return csr_matrix((data, self.indices, self.indptr), shape=(v, v))
 
 
 def bottom_face_prefixes(spec: IfsSpec, m: int) -> list[Word]:

@@ -9,7 +9,11 @@ only where an identity fails, so a reported residual is the exact maximum.
 
 The Monte Carlo engine draws each trajectory from its own counter-based
 ``Philox`` stream keyed by (master seed, trajectory index), so a path's
-trajectory depends only on the seed, its index and its start.
+trajectory depends only on the seed, its index and its start.  Paths advance
+together 256 steps at a time.  A step inverts the row's running sums through
+a guide table (Chen and Asau, 1974) in constant time, whatever the degree,
+and stores a small label of the new state; first hits and alternating hits
+are read off the labels once per chunk.
 """
 
 from __future__ import annotations
@@ -349,9 +353,63 @@ def sampling_tables(P: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return cum, tgt
 
 
+def step_tables(P: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``sampling_tables`` plus a guide table that makes one step O(1).
+
+    K is the smallest power of two such that no two distinct running sums
+    below 1 of one row fall in one bucket [b/K, (b+1)/K), and
+    ``guide[s, b] = #{j : cum[s, j] < b/K}``.  For u in [0, 1) take
+    b = floor(K*u), exact because K is a power of two, j = guide[s, b] and
+
+        next = tgt[s, j + (u > cum[s, j])].
+
+    Proof that this is ``tgt[s, (u > cum[s]).sum()]``: the sums below 1 are
+    nondecreasing and come first in the row, so j is the first index with
+    cum[s, j] >= b/K.  Sums below b/K are below u, sums at or above
+    (b+1)/K (the pinned 1.0 included) are not, and the only sums in the
+    bucket equal cum[s, j].  The count is therefore j when u <= cum[s, j],
+    and otherwise j plus the number of copies of cum[s, j].  A copy after
+    the first belongs to a stored zero-probability entry, which the count
+    never selects, so the returned ``tgt`` sends such an entry to the next
+    larger sum's target and j + 1 lands there.  Copies are left out of the
+    bucket test, so K exists whenever the positive probabilities do; K
+    beyond 2**16 raises ``SpecError``.
+    """
+    cum, tgt = sampling_tables(P)
+    lo, hi = cum[:, :-1], cum[:, 1:]
+    split = (hi < 1) & (hi > lo)
+    a, b = lo[split], hi[split]
+    K = 1
+    while True:
+        same = np.floor(K * a) == np.floor(K * b)
+        if not same.any():
+            break
+        a, b, K = a[same], b[same], 2 * K
+        if K > 2**16:
+            raise SpecError("running sums of a kernel row closer than 2^-16")
+    size, width = cum.shape
+    bucket = np.minimum(np.floor(K * cum), K).astype(np.int64)
+    counts = np.bincount((np.arange(size)[:, None] * (K + 1) + bucket).ravel(),
+                         minlength=size * (K + 1)).reshape(size, K + 1)
+    guide = np.zeros((size, K), dtype=np.min_scalar_type(width - 1))
+    guide[:, 1:] = np.cumsum(counts[:, : K - 1], axis=1)
+    s, j = np.nonzero((hi < 1) & (hi == lo))
+    tgt[s, j + 1] = tgt[s, (cum[s] <= hi[s, j][:, None]).sum(axis=1)]
+    return cum, tgt, guide
+
+
 def _path_generator(seed: int, index: int) -> np.random.Generator:
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _state_mask(mask, size: int, what: str) -> np.ndarray:
+    """``mask`` as a boolean array over the states; 0/1 integers are allowed."""
+    arr = np.asarray(mask)
+    if (arr.shape != (size,) or arr.dtype.kind not in "biu"
+            or not ((arr == 0) | (arr == 1)).all()):
+        raise SpecError(f"{what} must be a boolean mask over the {size} states")
+    return arr.astype(bool)
 
 
 def simulate(kernel: WalkKernel, start, *, paths: int, horizon: int,
@@ -363,22 +421,41 @@ def simulate(kernel: WalkKernel, start, *, paths: int, horizon: int,
 
     ``start`` is one state, a float distribution over the states (each path
     draws its start from its own stream), or an integer state per path.
-    ``targets`` maps names to vertex masks (first-hit times are recorded);
+    ``targets`` maps names to state masks (first-hit times are recorded);
     ``oscillation`` gives the alternating pair of masks whose alternating
-    hit times are collected up to ``max_osc``.  Path p draws from a
-    ``Philox`` stream keyed by (seed, p), 256 steps at a time.  ``workers``
-    is accepted and ignored: every path runs in the calling thread.
+    hit times are collected up to ``max_osc``.  Masks are boolean or 0/1
+    arrays with one entry per state.  Path p draws from a ``Philox`` stream
+    keyed by (seed, p), 256 steps at a time.  ``workers`` is accepted and
+    ignored: every path runs in the calling thread.
+
+    A step costs O(1) per path through the guide table of
+    :func:`step_tables`.  Inside a chunk each step stores only a label of
+    the new state, one bit per oscillation set and per target; first hits
+    and alternating hits are found after the chunk with ``argmax``.
     """
     if horizon < 1 or paths < 1:
         raise SpecError("horizon and paths must be >= 1")
     chunk = 256
+    size = kernel.num_states
     names = list(targets or {})
-    cum, tgt = sampling_tables(kernel.P)
-    width = cum.shape[1]
+    sets = [np.zeros(size, dtype=bool)] * 2
+    if oscillation is not None:
+        if max_osc < 1:
+            raise SpecError("max_osc must be >= 1")
+        m0, m1 = oscillation
+        sets = [_state_mask(m, size, "oscillation set") for m in (m0, m1)]
+    masks = sets + [_state_mask(targets[name], size, f"target {name!r}")
+                    for name in names]
+    cum, tgt, guide = step_tables(kernel.P)
+    width, K = cum.shape[1], guide.shape[1]
+    cum, tgt, guide = (K * cum).ravel(), tgt.ravel(), guide.ravel()
+    code = np.zeros(size, dtype=np.min_scalar_type(1 << (len(masks) - 1)))
+    for bit, mask in enumerate(masks):
+        code[mask] |= 1 << bit
     gens = [_path_generator(seed, p) for p in range(paths)]
     if np.isscalar(start):
         states = np.full(paths, int(start), dtype=np.int64)
-    elif len(np.atleast_1d(start)) == kernel.num_states and np.issubdtype(
+    elif len(np.atleast_1d(start)) == size and np.issubdtype(
             np.asarray(start).dtype, np.floating):
         cdf = np.cumsum(np.asarray(start, dtype=np.float64))
         cdf /= cdf[-1]
@@ -388,31 +465,39 @@ def simulate(kernel: WalkKernel, start, *, paths: int, horizon: int,
         states = np.asarray(start, dtype=np.int64)[:paths].copy()
     if len(states) != paths:
         raise SpecError(f"start gives {len(states)} states for {paths} paths")
-    if states.min() < 0 or states.max() >= kernel.num_states:
-        raise SpecError(f"start states must lie in [0, {kernel.num_states})")
+    if states.min() < 0 or states.max() >= size:
+        raise SpecError(f"start states must lie in [0, {size})")
     start_states = states.copy()
 
     first = {name: np.full(paths, -1, dtype=np.int64) for name in names}
     osc = np.full((paths, max_osc), -1, dtype=np.int64) if oscillation else None
     phase = np.zeros(paths, dtype=np.int64)
 
-    def record(t: int, idx: np.ndarray, st: np.ndarray) -> None:
-        for name in names:
-            fresh = (first[name][idx] < 0) & targets[name][st]
-            first[name][idx[fresh]] = t
-        if osc is not None:
-            m0, m1 = oscillation
-            while True:
-                # re-check after each toggle: consecutive stopping times may
-                # coincide when a state lies in both alternating sets
-                undone = phase[idx] < max_osc
-                cur = np.where(phase[idx] % 2 == 0, m0[st], m1[st])
-                hit = undone & cur
-                if not hit.any():
-                    break
-                rows = idx[hit]
-                osc[rows, phase[rows]] = t
-                phase[rows] += 1
+    def scan(labels: np.ndarray, t0: int, idx: np.ndarray) -> None:
+        """Record the hits in ``labels`` (steps x paths ``idx``) from time t0."""
+        for bit, name in enumerate(names, start=2):
+            hits = (labels & (1 << bit)) != 0
+            at = hits.argmax(axis=0)
+            fresh = (first[name][idx] < 0) & hits[at, np.arange(len(idx))]
+            first[name][idx[fresh]] = t0 + at[fresh]
+        if osc is None:
+            return
+        when = np.arange(len(labels))[:, None]
+        cols = np.flatnonzero(phase[idx] < max_osc)
+        pos = np.zeros(len(cols), dtype=np.int64)
+        while len(cols):
+            # one alternating hit per pass, searched from the path's last one:
+            # a state in both sets gives two hits at one step
+            rows = idx[cols]
+            want = (1 << phase[rows] % 2).astype(labels.dtype)
+            hit = ((labels[:, cols] & want) != 0) & (when >= pos)
+            pos = hit.argmax(axis=0)
+            found = hit[pos, np.arange(len(cols))]
+            rows, cols, pos = rows[found], cols[found], pos[found]
+            osc[rows, phase[rows]] = t0 + pos
+            phase[rows] += 1
+            more = phase[rows] < max_osc
+            cols, pos = cols[more], pos[more]
 
     def done(idx):
         ok = np.ones(len(idx), dtype=bool)
@@ -423,21 +508,29 @@ def simulate(kernel: WalkKernel, start, *, paths: int, horizon: int,
         return ok
 
     active = np.arange(paths, dtype=np.int64)
-    record(0, active, states)
+    scan(code[states][None, :], 0, active)
     active = active[~done(active)]
     t = 0
     while t < horizon and len(active):
         steps = min(chunk, horizon - t)
-        buf = np.empty((len(active), steps))
-        for row, p in enumerate(active):
-            buf[row] = gens[p].random(steps)
+        # each path fills a row of a small block, which is copied transposed:
+        # the step loop reads one contiguous row of draws per step
+        draws = np.empty((steps, len(active)))
+        block = np.empty((min(512, len(active)), steps))
+        for lo in range(0, len(active), len(block)):
+            part = active[lo : lo + len(block)].tolist()
+            for row, p in enumerate(part):
+                gens[p].random(out=block[row])
+            draws[:, lo : lo + len(part)] = block[: len(part)].T
+        draws *= K  # exact: the bucket is int(K*u), compared as K*u > K*cum
+        labels = np.empty((steps, len(active)), dtype=code.dtype)
         st = states[active]
-        for s in range(steps):
-            sel = (buf[:, s][:, None] > cum[st]).sum(axis=1)
-            sel = np.minimum(sel, width - 1)
-            st = tgt[st, sel]
-            record(t + s + 1, active, st)
+        for s, v in enumerate(draws):
+            row = st * width + guide[st * K + v.astype(np.int64)]
+            st = tgt[row + (v > cum[row])]
+            labels[s] = code[st]
         states[active] = st
+        scan(labels, t + 1, active)
         t += steps
         active = active[~done(active)]
     return SimulationResult(paths=paths, horizon=horizon, seed=seed,
@@ -462,6 +555,8 @@ class OscillationTrace:
 def oscillation_stats(result: SimulationResult) -> OscillationTrace:
     if result.osc_times is None:
         raise SpecError("simulation did not track oscillation times")
+    if result.osc_times.shape[1] < 2:
+        raise SpecError("oscillation statistics need max_osc >= 2")
     t1 = result.osc_times[:, 0]
     t2 = result.osc_times[:, 1]
     ok1 = t1 >= 0

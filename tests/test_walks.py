@@ -14,6 +14,7 @@ from carpetlab.spectral import dirichlet_energy
 from carpetlab.walks import (
     WalkKernel,
     _exact_entries,
+    _path_generator,
     build_kernel,
     build_wall_kernel,
     coupling_check,
@@ -28,6 +29,7 @@ from carpetlab.walks import (
     reversibility_residual,
     sampling_tables,
     simulate,
+    step_tables,
     stochasticity_residual,
     wall_bottom_mask,
     wall_hitting_report,
@@ -378,6 +380,53 @@ def test_simulate_rejects_bad_start(lab, start):
                  oscillation=(g.face_set(0, 0), g.face_set(0, 1)))
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda near, far: dict(oscillation=(near[:-1], far)),
+                 id="short oscillation set"),
+    pytest.param(lambda near, far: dict(oscillation=(near, np.append(far, True))),
+                 id="long oscillation set"),
+    pytest.param(lambda near, far: dict(oscillation=(near, far),
+                                        targets={"t": near[:-1]}),
+                 id="short target"),
+    pytest.param(lambda near, far: dict(targets={"t": np.append(near, False)}),
+                 id="long target"),
+    pytest.param(lambda near, far: dict(targets={"t": 2 * near.astype(int)}),
+                 id="two in an integer mask"),
+    pytest.param(lambda near, far: dict(targets={"t": near.astype(float)}),
+                 id="float mask"),
+    pytest.param(lambda near, far: dict(oscillation=(near, far), max_osc=0),
+                 id="max_osc 0"),
+])
+def test_simulate_rejects_bad_masks(lab, make):
+    g = lab.graph(1)
+    kw = make(g.face_set(0, 0), g.face_set(0, 1))
+    with pytest.raises(SpecError, match="mask|max_osc"):
+        simulate(lab.kernel(1), 0, paths=5, horizon=10, seed=1, **kw)
+
+
+def test_simulate_takes_01_masks(lab):
+    g = lab.graph(1)
+    near, far = g.face_set(0, 0), g.face_set(0, 1)
+    side = g.face_set(1, 0)
+    runs = [simulate(lab.kernel(1), 5, paths=20, horizon=300, seed=4,
+                     targets={"side": conv(side)},
+                     oscillation=(conv(near), conv(far)))
+            for conv in (lambda m: m, lambda m: m.astype(np.int64),
+                         lambda m: m.astype(np.uint8))]
+    for sim in runs[1:]:
+        assert sim.osc_times.tobytes() == runs[0].osc_times.tobytes()
+        assert (sim.first_hits["side"].tobytes()
+                == runs[0].first_hits["side"].tobytes())
+
+
+def test_oscillation_stats_needs_two_hits(lab):
+    g = lab.graph(1)
+    sim = simulate(lab.kernel(1), 5, paths=5, horizon=10, seed=1, max_osc=1,
+                   oscillation=(g.face_set(0, 0), g.face_set(0, 1)))
+    with pytest.raises(SpecError, match="max_osc"):
+        oscillation_stats(sim)
+
+
 def test_two_cycle_gap_is_one():
     k = cycle_kernel()
     m0 = np.array([True, False])
@@ -501,3 +550,200 @@ def test_sampling_tables_match_row_loop(lab, which):
     assert cum.dtype == want_cum.dtype and tgt.dtype == want_tgt.dtype
     assert cum.tobytes() == want_cum.tobytes()
     assert tgt.tobytes() == want_tgt.tobytes()
+
+
+def _loop_simulate(kernel, start, *, paths, horizon, seed, targets=None,
+                   oscillation=None, max_osc=2):
+    """The per-step engine ``simulate`` replaced: each step counts the running
+    sums below the draw and records hits through a per-step callback."""
+    chunk = 256
+    names = list(targets or {})
+    cum, tgt = sampling_tables(kernel.P)
+    width = cum.shape[1]
+    gens = [_path_generator(seed, p) for p in range(paths)]
+    if np.isscalar(start):
+        states = np.full(paths, int(start), dtype=np.int64)
+    elif len(np.atleast_1d(start)) == kernel.num_states and np.issubdtype(
+            np.asarray(start).dtype, np.floating):
+        cdf = np.cumsum(np.asarray(start, dtype=np.float64))
+        cdf /= cdf[-1]
+        draws = np.array([g.random() for g in gens])
+        states = np.searchsorted(cdf, draws).astype(np.int64)
+    else:
+        states = np.asarray(start, dtype=np.int64)[:paths].copy()
+    start_states = states.copy()
+    first = {name: np.full(paths, -1, dtype=np.int64) for name in names}
+    osc = np.full((paths, max_osc), -1, dtype=np.int64) if oscillation else None
+    phase = np.zeros(paths, dtype=np.int64)
+
+    def record(t, idx, st):
+        for name in names:
+            fresh = (first[name][idx] < 0) & targets[name][st]
+            first[name][idx[fresh]] = t
+        if osc is not None:
+            m0, m1 = oscillation
+            while True:
+                undone = phase[idx] < max_osc
+                cur = np.where(phase[idx] % 2 == 0, m0[st], m1[st])
+                hit = undone & cur
+                if not hit.any():
+                    break
+                rows = idx[hit]
+                osc[rows, phase[rows]] = t
+                phase[rows] += 1
+
+    def done(idx):
+        ok = np.ones(len(idx), dtype=bool)
+        for name in names:
+            ok &= first[name][idx] >= 0
+        if osc is not None:
+            ok &= phase[idx] >= max_osc
+        return ok
+
+    active = np.arange(paths, dtype=np.int64)
+    record(0, active, states)
+    active = active[~done(active)]
+    t = 0
+    while t < horizon and len(active):
+        steps = min(chunk, horizon - t)
+        buf = np.empty((len(active), steps))
+        for row, p in enumerate(active):
+            buf[row] = gens[p].random(steps)
+        st = states[active]
+        for s in range(steps):
+            sel = (buf[:, s][:, None] > cum[st]).sum(axis=1)
+            sel = np.minimum(sel, width - 1)
+            st = tgt[st, sel]
+            record(t + s + 1, active, st)
+        states[active] = st
+        t += steps
+        active = active[~done(active)]
+    return first, osc, start_states
+
+
+def _explicit_kernel(rows):
+    """Kernel with the given rows of (column, probability); zeros are stored."""
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    cols = np.array([c for r in rows for c, _ in r])
+    data = np.array([p for r in rows for _, p in r], dtype=np.float64)
+    P = sp.csr_matrix((data, cols, indptr), shape=(len(rows), len(rows)))
+    assert P.nnz == len(data)
+    return WalkKernel(kind="lazy", n=0, m=None, P=P, pi=np.ones(len(rows)),
+                      dens=None)
+
+
+# zero-probability entries first, in the middle (two in a row) and last
+ZERO_ENTRY_ROWS = [
+    [(0, 0.0), (1, 0.5), (2, 0.0), (3, 0.0), (4, 0.5)],
+    [(0, 0.25), (2, 0.25), (3, 0.5), (4, 0.0)],
+    [(1, 1 / 3), (2, 0.0), (3, 1 / 3), (4, 1 / 3)],
+    [(0, 0.0), (0, 0.0), (2, 0.5), (4, 0.5)],
+    [(1, 0.5), (3, 0.5)],
+]
+# running sums 0.3 and 0.31 share a bucket until K = 128
+FINE_ROWS = [[(0, 0.3), (1, 0.01), (2, 0.69)], [(0, 0.5), (2, 0.5)],
+             [(1, 0.25), (2, 0.75)]]
+
+
+@pytest.fixture(scope="module")
+def engine_kernels(lab, graph_of):
+    return {
+        "cell1": lambda: lab.kernel(1), "cell2": lambda: lab.kernel(2),
+        "cell3": lambda: lab.kernel(3),
+        "offgrid1": lambda: build_kernel(graph_of("offgrid158", 1)),
+        "offgrid2": lambda: build_kernel(graph_of("offgrid158", 2)),
+        "menger2": lambda: build_kernel(graph_of("menger", 2)),
+        "wall11": lambda: lab.wall_kernel(1, 1),
+        "wall12": lambda: lab.wall_kernel(1, 2),
+        "lazy2": lambda: lazy_kernel(lab.kernel(2), 0.5),
+        "zero_entry": lambda: _explicit_kernel(ZERO_ENTRY_ROWS),
+        "fine": lambda: _explicit_kernel(FINE_ROWS),
+    }
+
+
+def _engine_case(kernel, start_kind, paths, seed):
+    """Start, two targets and oscillation sets that share a state."""
+    size = kernel.num_states
+    rng = np.random.default_rng(seed)
+    m0, m1 = rng.random(size) < 0.25, rng.random(size) < 0.25
+    m0[0] = m1[0] = True
+    targets = {"a": rng.random(size) < 0.1, "b": rng.random(size) < 0.05}
+    if start_kind == "scalar":
+        start = size - 1
+    elif start_kind == "distribution":
+        start = rng.random(size)
+    else:
+        start = rng.integers(0, size, paths)
+    return start, targets, (m0, m1)
+
+
+def _assert_engines_agree(kernel, start, **kw):
+    sim = simulate(kernel, start, **kw)
+    first, osc, start_states = _loop_simulate(kernel, start, **kw)
+    assert sim.start_states.tobytes() == start_states.tobytes()
+    assert sim.first_hits.keys() == first.keys()
+    for name, hits in first.items():
+        assert sim.first_hits[name].dtype == hits.dtype
+        assert sim.first_hits[name].tobytes() == hits.tobytes()
+    assert sim.osc_times.shape == osc.shape
+    assert sim.osc_times.tobytes() == osc.tobytes()
+
+
+@pytest.mark.parametrize("start_kind", ["scalar", "distribution", "array"])
+@pytest.mark.parametrize("which", ["cell1", "cell2", "cell3", "offgrid1",
+                                   "offgrid2", "menger2", "wall11", "wall12",
+                                   "lazy2", "zero_entry", "fine"])
+def test_simulate_matches_step_loop(engine_kernels, which, start_kind):
+    kernel = engine_kernels[which]()
+    start, targets, sets = _engine_case(kernel, start_kind, 40, 7)
+    _assert_engines_agree(kernel, start, paths=40, horizon=600, seed=3,
+                          targets=targets, oscillation=sets, max_osc=3)
+
+
+@pytest.mark.parametrize("paths", [1, 30])
+@pytest.mark.parametrize("max_osc", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("horizon", [1, 255, 256, 257, 600])
+def test_simulate_matches_step_loop_at_chunk_edges(engine_kernels, horizon,
+                                                   max_osc, paths):
+    kernel = engine_kernels["wall12"]()
+    start, targets, sets = _engine_case(kernel, "array", paths, horizon)
+    # sparse sets, so that some paths stay censored at every horizon
+    sets = tuple(m & (np.arange(kernel.num_states) % 7 == 0) for m in sets)
+    _assert_engines_agree(kernel, start, paths=paths, horizon=horizon,
+                          seed=max_osc, targets=targets, oscillation=sets,
+                          max_osc=max_osc)
+
+
+@pytest.mark.parametrize("which,want_K", [
+    ("cell1", 4), ("cell3", 8), ("offgrid1", 8), ("offgrid2", 32),
+    ("menger2", 8), ("wall11", 16), ("wall12", 16), ("lazy2", 16),
+    ("zero_entry", 2), ("fine", 128)])
+def test_guide_buckets_hold_one_running_sum(engine_kernels, which, want_K):
+    P = engine_kernels[which]().P
+    cum, tgt, guide = step_tables(P)
+    K = guide.shape[1]
+    assert K == want_K
+    assert guide.dtype == np.uint8
+
+    def crowded(K):
+        for row in cum:
+            below = np.unique(row[row < 1])
+            if len(np.unique(np.floor(K * below))) < len(below):
+                return True
+        return False
+
+    assert not crowded(K) and (K == 1 or crowded(K // 2))
+    edges = np.arange(K) / K
+    assert (guide == (cum[:, None, :] < edges[None, :, None]).sum(axis=2)).all()
+    want_cum, want_tgt = sampling_tables(P)
+    assert cum.tobytes() == want_cum.tobytes()
+    # only stored zero-probability entries change their target
+    moved = tgt != want_tgt
+    assert (cum[:, 1:][moved[:, 1:]] == cum[:, :-1][moved[:, 1:]]).all()
+    assert not moved[:, 0].any()
+
+
+def test_step_tables_reject_running_sums_too_close(lab):
+    # a very lazy kernel would need a guide table of about 2^22 buckets a row
+    with pytest.raises(SpecError, match="2\\^-16"):
+        step_tables(lazy_kernel(lab.kernel(1), 1e-6).P)
