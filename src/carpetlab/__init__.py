@@ -14,16 +14,11 @@ from importlib import resources
 from .geometry import (
     Box,
     IfsSpec,
-    Intersection,
     Isometry,
     SpecError,
     ValidationReport,
-    box_intersection,
     cell_box,
     edge_threshold_constants,
-    fold_point,
-    fold_word,
-    grid_cells,
     isometry_group,
     parse_spec,
     separation_constant,

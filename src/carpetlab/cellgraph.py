@@ -18,7 +18,6 @@ import struct
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import lcm
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -29,6 +28,7 @@ from .geometry import (
     Isometry,
     SpecError,
     Word,
+    _pair_table,
     edge_threshold_constants,
     digit_map,
     format_rational,
@@ -134,15 +134,6 @@ class CellGraph(_Edges):
         return start, start + size
 
 
-def faces(graph: CellGraph) -> dict[tuple[int, int], np.ndarray]:
-    """The six face sets keyed by (axis, side), as boolean masks."""
-    return {(o, s): graph.face_set(o, s) for o in range(3) for s in (0, 1)}
-
-
-def boundary(graph: CellGraph) -> np.ndarray:
-    return graph.boundary()
-
-
 def middle_layers(graph: CellGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(I, I+, I-): cells meeting the middle plane / upper / lower x1 halves."""
     lo = 2 * graph.corners[:, 0]
@@ -161,24 +152,19 @@ def middle_layers(graph: CellGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _scaled_geometry(spec: IfsSpec, n: int):
     """Integer corner array for all level-n cells plus (scale, side) ints."""
-    k, N = spec.k, spec.N
-    L = lcm(*(t.denominator for c in spec.cells for t in c), 1)
-    scale = k**n * L
-    digit_corners = np.array(
-        [[int(t * k * L) for t in c] for c in spec.cells], dtype=np.int64
-    )
-    count = N**n
+    table = _pair_table(spec)
+    digit_corners = np.asarray(table.corners, dtype=np.int64)
+    count = spec.N**n
     corners = np.zeros((count, 3), dtype=np.int64)
-    for j, digits in enumerate(_digit_arrays(n, N, count)):
-        corners += digit_corners[digits] * (k ** (n - 1 - j))
-    return corners, scale, L
+    for j, digits in enumerate(_digit_arrays(n, spec.N, count)):
+        corners += digit_corners[digits] * (spec.k ** (n - 1 - j))
+    return corners, spec.k**n * table.side, table.side
 
 
 def _grid_flags(spec: IfsSpec, n: int) -> np.ndarray:
-    top = 1 - Fraction(1, spec.k)
-    digit_boundary = np.array(
-        [any(t == 0 or t == top for t in c) for c in spec.cells], dtype=bool
-    )
+    table = _pair_table(spec)
+    top = table.scale - table.side
+    digit_boundary = ((table.corners == 0) | (table.corners == top)).any(axis=1)
     count = spec.N**n
     flags = np.ones(count, dtype=bool)
     for digits in _digit_arrays(n, spec.N, count):

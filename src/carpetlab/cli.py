@@ -33,6 +33,7 @@ from .cellgraph import (
 from .spectral import (
     ConstantsTable,
     SolveOptions,
+    SolverError,
     face_gap_constants,
     face_resistance,
     face_resistance_upper_check,
@@ -605,6 +606,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"error: {exc}; lower the level or raise --max-vertices",
               file=sys.stderr)
+        return 3
+    except (SolverError, MemoryError) as exc:
+        print(f"error: {exc or 'out of memory'}", file=sys.stderr)
         return 3
 
 

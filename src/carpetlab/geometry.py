@@ -1,9 +1,11 @@
 """Exact-rational geometry of the carpet IFS.
 
-Everything in this module is computed over ``fractions.Fraction`` so that the
-decision procedures (cell overlap, face cover, symmetry, contact
-classification) are exact.  Floating point never enters; irrational carpets
-are out of scope and must be supplied as rational surrogates.
+Specs hold ``fractions.Fraction`` translations.  The decision procedures
+(cell overlap, face cover, symmetry, contact classification) and the contact
+constants read one table of the level-1 cells, scaled to integers over one
+common denominator, and of all their pairs, so every decision stays exact.
+Floating point never enters; irrational carpets are out of scope and must be
+supplied as rational surrogates.
 
 Conventions used throughout the package:
 
@@ -22,8 +24,10 @@ import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
-from typing import Iterable, Sequence
+from math import isqrt, lcm
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 Vec3 = tuple[Fraction, Fraction, Fraction]
 Word = tuple[int, ...]
@@ -158,7 +162,7 @@ def parse_spec(text: str) -> IfsSpec:
 
 
 # ---------------------------------------------------------------------------
-# boxes and intersections
+# cells as boxes, and the level-1 cells on one integer lattice
 # ---------------------------------------------------------------------------
 
 
@@ -168,24 +172,6 @@ class Box:
 
     corner: Vec3
     side: Fraction
-
-    def interval(self, axis: int) -> tuple[Fraction, Fraction]:
-        return self.corner[axis], self.corner[axis] + self.side
-
-
-@dataclass(frozen=True)
-class Intersection:
-    """Exact intersection of two boxes.
-
-    ``kind`` is one of ``empty/point/segment/rectangle/box``; ``measure`` is
-    the length/area/volume for segment/rectangle/box and 0/1 for empty/point.
-    ``extents`` holds the per-axis overlap lengths of the witness geometry.
-    """
-
-    kind: str
-    measure: Fraction
-    corner: Vec3 | None
-    extents: tuple[Fraction, Fraction, Fraction] | None
 
 
 def cell_box(spec: IfsSpec, word: Word) -> Box:
@@ -203,26 +189,34 @@ def cell_box(spec: IfsSpec, word: Word) -> Box:
     return Box(corner=tuple(corner), side=scale)
 
 
-def box_intersection(a: Box, b: Box) -> Intersection:
-    los, lens = [], []
-    degenerate = 0
-    for o in range(3):
-        lo = max(a.corner[o], b.corner[o])
-        hi = min(a.corner[o] + a.side, b.corner[o] + b.side)
-        if lo > hi:
-            return Intersection("empty", Fraction(0), None, None)
-        los.append(lo)
-        lens.append(hi - lo)
-        if hi == lo:
-            degenerate += 1
-    kind = ("box", "rectangle", "segment", "point")[degenerate]
-    measure = Fraction(1)
-    if kind != "point":
-        for ln in lens:
-            if ln > 0:
-                measure *= ln
-    corner = (los[0], los[1], los[2])
-    return Intersection(kind, measure, corner, tuple(lens))
+class _PairTable(NamedTuple):
+    corners: np.ndarray  # (N, 3) level-1 cell corners in units of 1/scale
+    scale: int  # k times the lcm of the translation denominators
+    side: int  # scale // k, the side of a level-1 cell
+    i: np.ndarray  # the cell pairs (i[p], j[p]), i < j, in row-major order
+    j: np.ndarray
+    lens: np.ndarray  # (pairs, 3) overlap side - |C[i] - C[j]|; negative is a gap
+
+
+@lru_cache(maxsize=64)
+def _pair_table(spec: IfsSpec) -> _PairTable:
+    """The level-1 cells as integers over one common denominator, and all pairs.
+
+    Every pairwise decision of this module reads the per-axis overlaps
+    ``lens``, so it stays exact.  Past the int64 range (lattice keys reach
+    ``scale**3``) the arrays hold Python integers.
+    """
+    side = lcm(*(t.denominator for c in spec.cells for t in c))
+    scale = spec.k * side
+    corners = np.array(
+        [[t.numerator * (scale // t.denominator) for t in c] for c in spec.cells],
+        dtype=np.int64 if scale**3 < 2**63 else object,
+    )
+    i, j = np.triu_indices(spec.N, 1)
+    lens = side - np.abs(corners[i] - corners[j])
+    for a in (corners, i, j, lens):
+        a.flags.writeable = False
+    return _PairTable(corners, scale, side, i, j, lens)
 
 
 def _sqrt_lower_bound(q: Fraction) -> Fraction:
@@ -249,17 +243,6 @@ class Isometry:
 
     perm: tuple[int, int, int]
     flip: tuple[bool, bool, bool]
-
-    def apply_point(self, x: Sequence[Fraction]) -> Vec3:
-        return tuple(
-            (1 - x[self.perm[o]]) if self.flip[o] else x[self.perm[o]] for o in range(3)
-        )
-
-    def apply_box(self, box: Box) -> Box:
-        lo = self.apply_point(box.corner)
-        hi = self.apply_point(tuple(c + box.side for c in box.corner))
-        corner = tuple(min(a, b) for a, b in zip(lo, hi))
-        return Box(corner=corner, side=box.side)
 
     def compose(self, other: "Isometry") -> "Isometry":
         """Return the isometry mapping x to self(other(x))."""
@@ -289,6 +272,24 @@ def isometry_group() -> tuple[Isometry, ...]:
     return tuple(out)
 
 
+def _image_digits(spec: IfsSpec, group: Sequence[Isometry]) -> np.ndarray:
+    """Row g: the digit of the cell that g maps each cell onto, -1 where none."""
+    t = _pair_table(spec)
+    perm = np.array([g.perm for g in group])
+    flip = np.array([g.flip for g in group])[:, None, :]
+    c = t.corners
+    moved = c[:, perm].swapaxes(0, 1)  # (isometry, cell, axis)
+    image = np.where(flip, t.scale - t.side - moved, moved)
+
+    def key(x):  # corners lie in [0, scale), so this is one-to-one
+        return (x[..., 0] * t.scale + x[..., 1]) * t.scale + x[..., 2]
+
+    order = np.argsort(key(c))
+    keys, wanted = key(c)[order], key(image)
+    pos = np.minimum(np.searchsorted(keys, wanted), spec.N - 1)
+    return np.where(keys[pos] == wanted, order[pos], -1)
+
+
 @lru_cache(maxsize=64)
 def digit_map(spec: IfsSpec, g: Isometry) -> tuple[int, ...]:
     """Permutation of digits induced by g (g maps cell i onto cell digit_map[i]).
@@ -297,23 +298,13 @@ def digit_map(spec: IfsSpec, g: Isometry) -> tuple[int, ...]:
     ``tuple(digit_map[d] for d in w)``.  Raises if g does not preserve the
     cell multiset (symmetry violated).
     """
-    index = _corner_index(spec)
-    side = Fraction(1, spec.k)
-    out = []
-    for i, c in enumerate(spec.cells):
-        image = g.apply_box(Box(corner=c, side=side))
-        j = index.get(image.corner)
-        if j is None:
-            raise SpecError(
-                f"isometry {g} does not map cell {i} onto a cell; symmetry violated"
-            )
-        out.append(j)
-    return tuple(out)
-
-
-def apply_isometry(spec: IfsSpec, g: Isometry, word: Word) -> Word:
-    dm = digit_map(spec, g)
-    return tuple(dm[d] for d in word)
+    image = _image_digits(spec, [g])[0]
+    bad = np.flatnonzero(image < 0)
+    if bad.size:
+        raise SpecError(
+            f"isometry {g} does not map cell {bad[0]} onto a cell; symmetry violated"
+        )
+    return tuple(image.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -375,120 +366,98 @@ class ValidationReport:
         }
 
 
-def _check_face_cover(spec: IfsSpec, axis: int, side: int):
+def _face_gap(t: _PairTable, axis: int, side: int):
     """Exact decision: is face (axis,side) exactly tiled by flush cell faces?
 
-    Runs an interval sweep over the two tangential axes.  Returns None on
-    success or a witness rectangle (corner2d, size2d) of an uncovered patch.
+    Sweeps slabs of the first tangential axis and, inside each slab, the
+    spans of the cells crossing it in order.  Returns None on success or a
+    witness rectangle (corner2d, size2d) of an uncovered patch, in units of
+    1/scale.
     """
-    s = Fraction(side)
-    h = Fraction(1, spec.k)
+    c, h, top = t.corners, t.side, t.scale
     t1, t2 = [o for o in range(3) if o != axis]
-    rects = []
-    for c in spec.cells:
-        flush = (c[axis] == 0) if side == 0 else (c[axis] + h == 1)
-        if flush:
-            rects.append(((c[t1], c[t1] + h), (c[t2], c[t2] + h)))
-    if not rects:
-        return ((Fraction(0), Fraction(0)), (Fraction(1), Fraction(1)))
-    xs = sorted({v for (u, _) in rects for v in u} | {Fraction(0), Fraction(1)})
-    for x0, x1 in zip(xs, xs[1:]):
-        if x1 <= x0:
-            continue
-        spans = sorted(v for (u, v) in rects if u[0] <= x0 and u[1] >= x1)
-        cursor = Fraction(0)
-        for lo, hi in spans:
-            if lo > cursor:
-                return ((x0, cursor), (x1 - x0, lo - cursor))
-            cursor = max(cursor, hi)
-        if cursor < 1:
-            return ((x0, cursor), (x1 - x0, 1 - cursor))
+    flush = c[:, axis] == (0 if side == 0 else top - h)
+    a, b = c[flush, t1], c[flush, t2]
+    xs = np.unique(np.concatenate([a, a + h, [0, top]]))
+    for x0, x1 in zip(xs[:-1], xs[1:]):
+        lo = np.sort(b[(a <= x0) & (a + h >= x1)])
+        # cursor[m]: the slab is covered from 0 up to here before span m
+        cursor = np.concatenate([[0], np.maximum.accumulate(lo + h)])
+        gap = np.flatnonzero(lo > cursor[:-1])
+        if gap.size:
+            m = gap[0]
+            return (x0, cursor[m]), (x1 - x0, lo[m] - cursor[m])
+        if cursor[-1] < top:
+            return (x0, cursor[-1]), (x1 - x0, top - cursor[-1])
     return None
 
 
 def validate(spec: IfsSpec) -> ValidationReport:
     """Run the five exact decision procedures on a parsed carpet."""
-    side = Fraction(1, spec.k)
-    boxes = [Box(corner=c, side=side) for c in spec.cells]
-    n = spec.N
+    t = _pair_table(spec)
+    c, h, n = t.corners, t.side, spec.N
+
+    def exact(*xs):
+        return tuple(Fraction(int(x), t.scale) for x in xs)
+
+    def pair(p):
+        return int(t.i[p]), int(t.j[p])
 
     # pairwise overlap volume must be zero
     overlap = ConditionResult(True)
-    inters: dict[tuple[int, int], Intersection] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            inter = box_intersection(boxes[i], boxes[j])
-            inters[(i, j)] = inter
-            if inter.kind == "box" and overlap.passed:
-                overlap = ConditionResult(False, {"pair": (i, j)})
+    inside = np.flatnonzero((t.lens > 0).all(axis=1))
+    if inside.size:
+        overlap = ConditionResult(False, {"pair": pair(inside[0])})
 
     # all six faces exactly covered by flush cell faces
     face = ConditionResult(True)
-    for axis in range(3):
-        for s in (0, 1):
-            wit = _check_face_cover(spec, axis, s)
-            if wit is not None:
-                face = ConditionResult(
-                    False,
-                    {"face": (axis + 1, s), "uncovered_corner": wit[0], "size": wit[1]},
-                )
-                break
-        if not face.passed:
+    for axis, s in itertools.product(range(3), (0, 1)):
+        wit = _face_gap(t, axis, s)
+        if wit is not None:
+            face = ConditionResult(
+                False,
+                {"face": (axis + 1, s), "uncovered_corner": exact(*wit[0]),
+                 "size": exact(*wit[1])},
+            )
             break
 
     # contact graph connected and no diagonal-only point contacts
     connect = ConditionResult(True)
-    adj = [[] for _ in range(n)]
-    for (i, j), inter in inters.items():
-        if inter.kind != "empty":
-            adj[i].append(j)
-            adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != n:
+    touch = (t.lens >= 0).all(axis=1)
+    adj = np.zeros((n, n), dtype=bool)
+    adj[t.i[touch], t.j[touch]] = True
+    adj |= adj.T
+    seen = np.arange(n) == 0
+    while (grown := seen | adj[seen].any(axis=0)).sum() > seen.sum():
+        seen = grown
+    if not seen.all():
         connect = ConditionResult(
-            False, {"reason": "disconnected", "component": sorted(seen)}
+            False, {"reason": "disconnected", "component": np.flatnonzero(seen).tolist()}
         )
     else:
-        for (i, j), inter in inters.items():
-            if inter.kind != "point":
-                continue
-            pt = inter.corner
-            covered = any(
-                m not in (i, j)
-                and all(
-                    boxes[m].corner[o] <= pt[o] <= boxes[m].corner[o] + side
-                    for o in range(3)
-                )
-                for m in range(n)
+        point = np.flatnonzero((t.lens == 0).all(axis=1))
+        pts = np.maximum(c[t.i[point]], c[t.j[point]])[:, None]
+        holders = ((c <= pts) & (pts <= c + h)).all(axis=2).sum(axis=1)
+        lonely = np.flatnonzero(holders < 3)  # held by the pair alone
+        if lonely.size:
+            connect = ConditionResult(
+                False,
+                {"reason": "diagonal", "pair": pair(point[lonely[0]]),
+                 "point": exact(*pts[lonely[0], 0])},
             )
-            if not covered:
-                connect = ConditionResult(
-                    False, {"reason": "diagonal", "pair": (i, j), "point": pt}
-                )
-                break
 
     # the 48 isometries must preserve the cell multiset
     sym = ConditionResult(True)
-    corner_set = set(spec.cells)
-    for g in isometry_group():
-        bad = None
-        for c in spec.cells:
-            image = g.apply_box(Box(corner=c, side=side))
-            if image.corner not in corner_set:
-                bad = c
-                break
-        if bad is not None:
-            sym = ConditionResult(
-                False, {"isometry": {"perm": g.perm, "flip": g.flip}, "cell": bad}
-            )
-            break
+    group = isometry_group()
+    missing = _image_digits(spec, group) < 0
+    broken = np.flatnonzero(missing.any(axis=1))
+    if broken.size:
+        g = group[broken[0]]
+        bad = np.flatnonzero(missing[broken[0]])[0]
+        sym = ConditionResult(
+            False,
+            {"isometry": {"perm": g.perm, "flip": g.flip}, "cell": spec.cells[bad]},
+        )
 
     nb = ConditionResult(True)
     if not (spec.min_cells <= n <= spec.max_cells):
@@ -512,20 +481,12 @@ def edge_threshold_constants(spec: IfsSpec) -> tuple[Fraction, Fraction]:
     cell intersections; C = C'^2/81 is the threshold separating "substantial"
     segment/rectangle contacts from slivers in the cell-graph edge rule.
     """
-    side = Fraction(1, spec.k)
-    boxes = [Box(corner=c, side=side) for c in spec.cells]
-    best: Fraction | None = None
-    for i in range(spec.N):
-        for j in range(i + 1, spec.N):
-            inter = box_intersection(boxes[i], boxes[j])
-            if inter.kind in ("empty", "point") or inter.extents is None:
-                continue
-            for ln in inter.extents:
-                if ln > 0 and (best is None or ln < best):
-                    best = ln
-    if best is None:
+    t = _pair_table(spec)
+    lens = t.lens[(t.lens >= 0).all(axis=1)]  # point contacts add no positive length
+    positive = lens[lens > 0]
+    if not positive.size:
         raise SpecError("no cell pair with a positive intersection projection")
-    c_prime = spec.k * best
+    c_prime = Fraction(spec.k * int(positive.min()), t.scale)
     return c_prime, c_prime * c_prime / 81
 
 
@@ -535,105 +496,24 @@ def separation_constant(spec: IfsSpec) -> Fraction:
     Exact when the nearest disjoint pair is axis-aligned (at most one positive
     coordinate gap); otherwise a rational sqrt lower bound within 2**-53.
     """
-    side = Fraction(1, spec.k)
-    boxes = [Box(corner=c, side=side) for c in spec.cells]
-    best_sq: Fraction | None = None
-    best_gaps: tuple[Fraction, ...] | None = None
-    for i in range(spec.N):
-        for j in range(i + 1, spec.N):
-            gaps = []
-            for o in range(3):
-                gap = max(boxes[i].corner[o], boxes[j].corner[o]) - min(
-                    boxes[i].corner[o] + side, boxes[j].corner[o] + side
-                )
-                gaps.append(max(gap, Fraction(0)))
-            sq = sum((g * g for g in gaps), start=Fraction(0))
-            if sq == 0:
-                continue  # touching cells do not enter the minimum
-            if best_sq is None or sq < best_sq:
-                best_sq, best_gaps = sq, tuple(gaps)
-    if best_sq is None:
+    t = _pair_table(spec)
+    gaps = np.maximum(-t.lens, 0)
+    sq = (gaps * gaps).sum(axis=1)
+    apart = np.flatnonzero(sq > 0)  # touching cells do not enter the minimum
+    if not apart.size:
         return HALF  # all cells pairwise touching: empty min treated as +inf
-    positive = [g for g in best_gaps if g > 0]
-    dist = positive[0] if len(positive) == 1 else _sqrt_lower_bound(best_sq)
+    best = apart[np.argmin(sq[apart])]
+    positive = gaps[best][gaps[best] > 0]
+    if len(positive) == 1:
+        dist = Fraction(int(positive[0]), t.scale)
+    else:
+        dist = _sqrt_lower_bound(Fraction(int(sq[best]), t.scale**2))
     return min(HALF, spec.k * dist)
 
 
 # ---------------------------------------------------------------------------
-# the folding map
+# point location
 # ---------------------------------------------------------------------------
-
-
-def fold_point(x: Sequence[Fraction]) -> Vec3:
-    """Coordinatewise tent map onto [0,1] (period 2, reflecting at integers)."""
-    out = []
-    for t in x:
-        r = Fraction(t) % 2
-        out.append(min(r, 2 - r))
-    return tuple(out)
-
-
-def fold_box(box: Box, m: int, k: int) -> Box:
-    """Fold the k^m-scaled box back into the unit cube.
-
-    Each scaled coordinate interval must sit inside one monotone branch of
-    the tent map; a straddling interval means the box is not a wall cell.
-    """
-    scale = Fraction(k) ** m
-    corner = []
-    for o in range(3):
-        a = box.corner[o] * scale
-        h = box.side * scale
-        j = a // 1  # floor
-        if a + h > j + 1:
-            raise SpecError(
-                f"scaled interval [{a}, {a + h}] straddles a fold line; "
-                "not a wall cell"
-            )
-        local = a - j
-        corner.append(local if j % 2 == 0 else 1 - local - h)
-    return Box(corner=tuple(corner), side=box.side * scale)
-
-
-@lru_cache(maxsize=32)
-def _level_corner_index(spec: IfsSpec, n: int) -> dict[Vec3, Word]:
-    out: dict[Vec3, Word] = {}
-    for word in itertools.product(range(spec.N), repeat=n):
-        out[cell_box(spec, word).corner] = word
-    return out
-
-
-def fold_word(spec: IfsSpec, m: int, n: int, word: Word) -> Word:
-    """Word of the level-n cell obtained by folding a wall cell of length m+n.
-
-    ``word`` must have length m+n with its m-prefix flush to the x2=0 face;
-    raises when the folded box matches no level-n cell (wall membership
-    violated).
-    """
-    if len(word) != m + n:
-        raise SpecError(f"word length {len(word)} != m+n = {m + n}")
-    folded = fold_box(cell_box(spec, word), m, spec.k)
-    index = _level_corner_index(spec, n)
-    v = index.get(folded.corner)
-    if v is None:
-        raise SpecError(f"folded box corner {folded.corner} matches no level-{n} cell")
-    return v
-
-
-# ---------------------------------------------------------------------------
-# grid helpers used by config factories and tests
-# ---------------------------------------------------------------------------
-
-
-def grid_cells(k: int, removed: Iterable[tuple[int, int, int]] = ()) -> tuple[Vec3, ...]:
-    """All k^3 grid translations except ``removed`` (given as integer triples)."""
-    removed = set(removed)
-    out = []
-    for idx in itertools.product(range(k), repeat=3):
-        if idx in removed:
-            continue
-        out.append(tuple(Fraction(t, k) for t in idx))
-    return tuple(out)
 
 
 def locate_word(spec: IfsSpec, point: Sequence[Fraction], n: int) -> Word:

@@ -23,6 +23,10 @@ from .geometry import IfsSpec, SpecError, Word
 MAXITER = 20000  # iteration cap of every PCG and LOBPCG run
 
 
+class SolverError(RuntimeError):
+    """An iterative solve did not reach its residual bound."""
+
+
 @dataclass
 class SolveOptions:
     """Iterative solver knobs shared across the module."""
@@ -90,7 +94,7 @@ def _solve_pd(L: sp.spmatrix, b: np.ndarray, opts: SolveOptions, project=None):
     x = p(x)
     res = np.linalg.norm(L @ x - b) / max(np.linalg.norm(b), 1e-300)
     if code != 0 or not res <= 1e-6:
-        raise RuntimeError(f"CG failed to converge (code {code}, residual {res})")
+        raise SolverError(f"CG failed to converge (code {code}, residual {res})")
     return x, SolveInfo("pcg", len(steps), float(res))
 
 
@@ -135,7 +139,7 @@ def poincare_constant(graph, opts: SolveOptions = DEFAULT_OPTS) -> PoincareResul
     gap, vec = float(vals[0]), vecs[:, 0]
     res = float(np.linalg.norm(L @ vec - gap * vec))
     if gap <= 0 or res > tol:
-        raise RuntimeError(f"LOBPCG failed (gap {gap}, residual {res}); disconnected?")
+        raise SolverError(f"LOBPCG failed (gap {gap}, residual {res}); disconnected?")
     return PoincareResult(1.0 / gap, gap, SolveInfo("lobpcg", len(history), res / gap))
 
 

@@ -420,7 +420,9 @@ def simulate(kernel: WalkKernel, start, *, paths: int, horizon: int,
     """Run ``paths`` trajectories and record first-hit/oscillation times.
 
     ``start`` is one state, a float distribution over the states (each path
-    draws its start from its own stream), or an integer state per path.
+    draws its start from its own stream), or an integer state per path;
+    anything else, such as a non-integer scalar or a distribution of the
+    wrong length, raises :class:`SpecError`.
     ``targets`` maps names to state masks (first-hit times are recorded);
     ``oscillation`` gives the alternating pair of masks whose alternating
     hit times are collected up to ``max_osc``.  Masks are boolean or 0/1
@@ -453,16 +455,23 @@ def simulate(kernel: WalkKernel, start, *, paths: int, horizon: int,
     for bit, mask in enumerate(masks):
         code[mask] |= 1 << bit
     gens = [_path_generator(seed, p) for p in range(paths)]
-    if np.isscalar(start):
-        states = np.full(paths, int(start), dtype=np.int64)
-    elif len(np.atleast_1d(start)) == size and np.issubdtype(
-            np.asarray(start).dtype, np.floating):
-        cdf = np.cumsum(np.asarray(start, dtype=np.float64))
+    start = np.asarray(start)
+    if np.issubdtype(start.dtype, np.floating) and start.ndim == 1:
+        if len(start) != size or not (np.isfinite(start) & (start >= 0)).all() \
+                or not start.sum() > 0:
+            raise SpecError(f"a start distribution needs {size} finite nonnegative "
+                            "weights with a positive sum")
+        cdf = np.cumsum(start.astype(np.float64))
         cdf /= cdf[-1]
         draws = np.array([g.random() for g in gens])
         states = np.searchsorted(cdf, draws).astype(np.int64)
+    elif not np.issubdtype(start.dtype, np.integer) or start.ndim > 1:
+        raise SpecError("start must be an integer state, a float distribution "
+                        "over the states or an integer state per path")
+    elif start.ndim == 0:
+        states = np.full(paths, int(start), dtype=np.int64)
     else:
-        states = np.asarray(start, dtype=np.int64)[:paths].copy()
+        states = start[:paths].astype(np.int64)
     if len(states) != paths:
         raise SpecError(f"start gives {len(states)} states for {paths} paths")
     if states.min() < 0 or states.max() >= size:

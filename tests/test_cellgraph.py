@@ -13,6 +13,7 @@ from carpetlab.cellgraph import (
     adapted_audit,
     bottom_face_prefixes,
     build_graph,
+    build_wall,
     counting_measure,
     degree_report,
     export_adjacency_json,
@@ -28,9 +29,9 @@ from carpetlab.cellgraph import (
 from carpetlab.geometry import (
     SpecError,
     axis_reflection,
-    box_intersection,
     cell_box,
 )
+from geometry_oracles import box_intersection, fold_word
 
 F = Fraction
 
@@ -215,6 +216,19 @@ def test_wall_fold_commutes_with_faces(lab):
     for s in (0, 1):
         mask = g.face_set(1, s)[wall.fold]
         assert mask.any()
+
+
+@pytest.mark.parametrize("name,m,n", [
+    ("carpet26", 1, 1), ("carpet26", 2, 1), ("offgrid158", 1, 1), ("menger", 1, 1),
+])
+def test_wall_fold_matches_fold_word(graph_of, name, m, n):
+    # the integer tent-map fold agrees with the per-box Fraction fold
+    g = graph_of(name, n)
+    wall = build_wall(g.spec, m, n, cell_graph=g)
+    got = [g.word_of(int(v)) for v in wall.fold]
+    want = [fold_word(g.spec, m, n, wall.vertex_word(u))
+            for u in range(wall.num_vertices)]
+    assert got == want
 
 
 def test_adapted_audit(spec26, lab):

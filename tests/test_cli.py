@@ -266,3 +266,14 @@ def test_exit_codes(config26, tmp_path, capsys, args, code):
         # artifacts are strict JSON: an undefined statistic is null, not NaN
         for path in (tmp_path / "x").glob("*.json"):
             json.loads(path.read_text(), parse_constant=pytest.fail)
+
+
+def test_solver_failure_exits_3(config26, tmp_path, capsys, monkeypatch):
+    import carpetlab.spectral as spectral
+
+    monkeypatch.setattr(spectral, "MAXITER", 1)
+    argv = ["--spec", config26, "--out", str(tmp_path / "s"),
+            "constants", "--levels", "2", "--quantities", "r_face"]
+    assert _exit_code(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -1,5 +1,6 @@
 """Exact geometry: parsing, validation, constants, isometries, folding."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -9,18 +10,12 @@ import carpetlab as cl
 from carpetlab.geometry import (
     Box,
     SpecError,
-    apply_isometry,
     axis_reflection,
     axis_swap,
-    box_intersection,
     cell_box,
     digit_map,
     edge_threshold_constants,
-    fold_box,
-    fold_point,
-    fold_word,
     format_rational,
-    grid_cells,
     isometry_group,
     locate_word,
     parse_rational,
@@ -28,6 +23,7 @@ from carpetlab.geometry import (
     separation_constant,
     validate,
 )
+from geometry_oracles import apply_box, box_intersection, fold_box, fold_word
 
 F = Fraction
 HALF = F(1, 2)
@@ -110,7 +106,7 @@ def test_box_intersection_symmetric_and_isometry_invariant(spec26):
     fwd = box_intersection(a, b)
     assert fwd == box_intersection(b, a)
     for g in isometry_group()[:8]:
-        ia, ib = g.apply_box(a), g.apply_box(b)
+        ia, ib = apply_box(g, a), apply_box(g, b)
         assert box_intersection(ia, ib).measure == fwd.measure
         assert box_intersection(ia, ib).kind == fwd.kind
 
@@ -140,7 +136,10 @@ def test_threshold_constants(spec26):
 
 
 def test_threshold_constants_grid_spec_always_one():
-    spec = cl.IfsSpec(name="g", k=3, cells=grid_cells(3, {(1, 1, 1), (0, 1, 1)}))
+    removed = {(1, 1, 1), (0, 1, 1)}
+    cells = tuple(tuple(F(t, 3) for t in idx)
+                  for idx in itertools.product(range(3), repeat=3) if idx not in removed)
+    spec = cl.IfsSpec(name="g", k=3, cells=cells)
     cp, _ = edge_threshold_constants(spec)
     assert cp == 1
 
@@ -184,33 +183,27 @@ def test_isometry_group_is_a_group():
 
 
 def test_apply_isometry_examples(spec26):
+    def apply(g, word):
+        return tuple(digit_map(spec26, g)[d] for d in word)
+
     corner = spec26.digit_of_corner((F(0), F(0), F(0)))
     refl = axis_reflection(0)
-    image = apply_isometry(spec26, refl, (corner,))
+    image = apply(refl, (corner,))
     assert cell_box(spec26, image).corner == (F(2, 3), F(0), F(0))
     swap = axis_swap(0, 1)
     w = (spec26.digit_of_corner((F(0), F(2, 3), F(1, 3))),)
-    image = apply_isometry(spec26, swap, w)
+    image = apply(swap, w)
     assert cell_box(spec26, image).corner == (F(2, 3), F(0), F(1, 3))
     ident = cl.Isometry((0, 1, 2), (False, False, False))
-    assert apply_isometry(spec26, ident, (1, 2, 3)) == (1, 2, 3)
+    assert apply(ident, (1, 2, 3)) == (1, 2, 3)
     # reflections are involutions on words
-    assert apply_isometry(spec26, refl, apply_isometry(spec26, refl, w)) == w
-
-
-def test_fold_point_examples():
-    assert fold_point((F(3, 2), F(1, 4), F(2))) == (HALF, F(1, 4), F(0))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.fractions(min_value=-4, max_value=4))
-def test_fold_point_properties(t):
-    (v,) = fold_point((t,))[:1]
-    assert 0 <= v <= 1
-    assert fold_point((-t,))[0] == v
-    assert fold_point((t + 2,))[0] == v
-    # idempotent on the folded value
-    assert fold_point((v,))[0] == v
+    assert apply(refl, apply(refl, w)) == w
+    # the digit map moves each cell's box as the isometry moves the cube
+    for spec in (spec26, cl.builtin_spec("offgrid158")):
+        for g in isometry_group():
+            dm = digit_map(spec, g)
+            for d in range(spec.N):
+                assert cell_box(spec, (dm[d],)) == apply_box(g, cell_box(spec, (d,)))
 
 
 def test_fold_word_identity_at_m0(spec26):
@@ -230,8 +223,8 @@ def test_fold_word_reverses_orientation(spec26):
                 break
         if target:
             break
-    v = fold_word(spec26, 1, 1, target)
-    assert cell_box(spec26, v).interval(0) == (F(1, 3), F(2, 3))
+    box = cell_box(spec26, fold_word(spec26, 1, 1, target))
+    assert (box.corner[0], box.corner[0] + box.side) == (F(1, 3), F(2, 3))
 
 
 def test_fold_box_straddle_error():

@@ -3,9 +3,11 @@
 ``golden/construction_hashes.json`` holds SHA-256 hashes of graph, wall and
 kernel arrays written by the per-pair reference construction,
 ``golden/simulate_hashes.json`` those of the Monte Carlo output written by
-the thread-sharded engine, and ``golden/brick_hashes.json`` those of the
-brick functions written by the per-vertex ``Fraction`` path; the current
-code must reproduce all three bit for bit.  The level-1 oracle re-derives
+the thread-sharded engine, ``golden/brick_hashes.json`` those of the brick
+functions written by the per-vertex ``Fraction`` path, and
+``golden/geometry_cases.json`` the validation reports and contact constants
+written by the per-pair ``Fraction`` geometry; the current code must
+reproduce all four exactly.  The level-1 oracle re-derives
 every edge from ``box_intersection`` and the contact rule, pair by pair, and
 the voxel oracle rebuilds on-grid graphs as face graphs of occupied voxels.
 """
@@ -23,10 +25,10 @@ import carpetlab as cl
 from carpetlab.cellgraph import build_graph
 from carpetlab.geometry import (
     SpecError,
-    box_intersection,
     cell_box,
     edge_threshold_constants,
 )
+from geometry_oracles import box_intersection
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -43,6 +45,7 @@ def _hash_module(name):
 hashes, REFERENCE = _hash_module("construction_hashes")
 sim_hashes, SIM_REFERENCE = _hash_module("simulate_hashes")
 brick_hashes, BRICK_REFERENCE = _hash_module("brick_hashes")
+geometry_cases, GEOMETRY_REFERENCE = _hash_module("geometry_cases")
 
 
 def test_reference_covers_every_case():
@@ -70,6 +73,19 @@ def test_brick_reference_covers_every_case():
 @pytest.mark.parametrize("case", brick_hashes.cases())
 def test_brick_hashes_match_reference(case):
     assert brick_hashes.compute(case) == BRICK_REFERENCE[case]
+
+
+def test_geometry_reference_covers_every_case():
+    assert sorted(GEOMETRY_REFERENCE) == sorted(geometry_cases.cases())
+
+
+@pytest.mark.parametrize("family", sorted({key.split("/")[0]
+                                            for key in geometry_cases.cases()}))
+def test_geometry_cases_match_reference(family):
+    keys = [key for key in geometry_cases.cases() if key.split("/")[0] == family]
+    wrong = [key for key in keys
+             if geometry_cases.compute(key) != GEOMETRY_REFERENCE[key]]
+    assert not wrong, f"{len(wrong)} of {len(keys)} cases differ, first {wrong[0]}"
 
 
 def _oracle_edges(spec, point_contact):

@@ -372,7 +372,13 @@ def test_simulate_start_on_target_gives_zero(lab):
     assert bool((sim.osc_times[:, 0] == 0).all())
 
 
-@pytest.mark.parametrize("start", [np.array([1, 2, 3]), 999, -1])
+@pytest.mark.parametrize("start", [
+    np.array([1, 2, 3]), 999, -1,
+    pytest.param(np.full(25, 1 / 25), id="distribution of the wrong length"),
+    pytest.param(3.7, id="non-integer scalar"),
+    pytest.param(np.append(np.full(25, 0.08), -1.0), id="negative weight"),
+    pytest.param(np.zeros(26), id="zero sum"),
+])
 def test_simulate_rejects_bad_start(lab, start):
     g = lab.graph(1)
     with pytest.raises(SpecError, match="start"):
