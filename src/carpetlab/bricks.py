@@ -40,7 +40,6 @@ from .geometry import (
     Word,
     axis_reflection,
     axis_swap,
-    cell_box,
     isometry_group,
     separation_constant,
 )
@@ -49,16 +48,7 @@ from .spectral import (
     SolveOptions,
     dirichlet_energy,
     effective_resistance,
-    laplacian,
-    _solve_pd,
 )
-
-
-def axis_projections(spec: IfsSpec, word: Word) -> tuple[Fraction, Fraction, Fraction]:
-    """(a, b, c): x1 extent endpoints and midpoint of the cell of ``word``."""
-    box = cell_box(spec, word)
-    a = box.corner[0]
-    return a, a + box.side, a + box.side / 2
 
 
 @dataclass
@@ -136,17 +126,7 @@ def orbit_symmetrize(graph: CellGraph, f: np.ndarray, axis: int) -> np.ndarray:
 def _pinned_harmonic(graph: CellGraph, zero_mask, one_mask, axis: int,
                      opts: SolveOptions) -> np.ndarray:
     """Energy minimizer with the given 0/1 boundary data, symmetrized about ``axis``."""
-    if (zero_mask & one_mask).any():
-        raise SpecError("harmonic boundary sets overlap")
-    f = np.zeros(graph.num_vertices)
-    f[one_mask] = 1.0
-    free = ~(zero_mask | one_mask)
-    if free.any():
-        L = laplacian(graph)
-        keep = np.nonzero(free)[0]
-        rhs = -(L[keep] @ f)
-        x, _ = _solve_pd(L[keep][:, keep], rhs, opts)
-        f[keep] = x
+    f = effective_resistance(graph, zero_mask, one_mask, opts).potential
     f = orbit_symmetrize(graph, f, axis)
     f[zero_mask] = 0.0
     f[one_mask] = 1.0

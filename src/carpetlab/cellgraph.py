@@ -24,6 +24,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .geometry import (
+    BudgetError,
     IfsSpec,
     Isometry,
     SpecError,
@@ -37,10 +38,6 @@ from .geometry import (
 
 CACHE_MAGIC = b"CGPH"
 CACHE_VERSION = 2
-
-
-class BudgetError(RuntimeError):
-    """Vertex budget exceeded; retry with a smaller level or a larger budget."""
 
 
 def word_index(word: Word, N: int) -> int:
@@ -304,60 +301,10 @@ def _bfs_depths(graph: CellGraph, start: int | np.ndarray, limit: int | None = N
     return np.where(np.isfinite(dist), dist, -1).astype(np.int64)
 
 
-def graph_distance(graph: CellGraph, u: int, v: int) -> int:
-    depth = _bfs_depths(graph, u)
-    if depth[v] < 0:
-        raise SpecError("vertices are disconnected")
-    return int(depth[v])
-
-
-def graph_ball(graph: CellGraph, u: int, r: int) -> np.ndarray:
-    """Vertices at BFS distance < r from u (strict, so r=1 gives {u})."""
-    depth = _bfs_depths(graph, u, limit=max(r - 1, 0))
-    return (depth >= 0) & (depth < r)
-
-
 def neighborhood(graph: CellGraph, u: int, l_star: int) -> np.ndarray:
     """Vertices reachable from u with at most l_star edges (boolean mask)."""
     depth = _bfs_depths(graph, u, limit=l_star)
     return (depth >= 0) & (depth <= l_star)
-
-
-def adapted_audit(spec: IfsSpec, n: int, l_star: int,
-                  graph: CellGraph | None = None) -> dict:
-    """Empirical separation audit for the neighborhood radius l_star.
-
-    Checks that any two level-n cells with no connecting path of <= l_star
-    edges sit at Euclidean distance >= c_* k^-n.  Exact integer comparisons;
-    intended for n <= 2.
-    """
-    from .geometry import separation_constant
-
-    if graph is None:
-        graph = build_graph(spec, n)
-    c_star = separation_constant(spec)
-    count = graph.num_vertices
-    # threshold in scaled units: dist >= c* k^-n  <=>  dist_scaled >= c* L
-    bound = c_star * graph.side_scaled
-    bound_sq_num = bound.numerator**2
-    bound_sq_den = bound.denominator**2
-    violations = []
-    for u in range(count):
-        depth = _bfs_depths(graph, u, limit=l_star)
-        far = np.nonzero((depth < 0) | (depth > l_star))[0]
-        far = far[far > u]
-        cu = graph.corners[u]
-        for v in far:
-            gaps = np.maximum(
-                np.maximum(cu, graph.corners[v])
-                - np.minimum(cu, graph.corners[v])
-                - graph.side_scaled,
-                0,
-            )
-            dist_sq = int((gaps.astype(object) ** 2).sum())
-            if dist_sq * bound_sq_den < bound_sq_num:
-                violations.append((graph.word_of(u), graph.word_of(int(v))))
-    return {"l_star": l_star, "pass": not violations, "violations": violations[:10]}
 
 
 def word_permutation(graph: CellGraph, g: Isometry) -> np.ndarray:
@@ -374,10 +321,6 @@ def word_permutation(graph: CellGraph, g: Isometry) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # measures
 # ---------------------------------------------------------------------------
-
-
-def counting_measure(graph: CellGraph) -> np.ndarray:
-    return np.ones(graph.num_vertices, dtype=np.int64)
 
 
 def walk_measure(graph: CellGraph) -> np.ndarray:

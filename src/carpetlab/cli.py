@@ -18,50 +18,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .geometry import IfsSpec, SpecError, parse_spec, separation_constant
-from .cellgraph import (
+from .geometry import (
     BudgetError,
-    CellGraph,
-    build_graph,
-    build_wall,
-    check_budget,
-    degree_report,
-    export_adjacency_json,
-    load_graph,
-    save_graph,
-)
-from .spectral import (
-    ConstantsTable,
-    SolveOptions,
+    IfsSpec,
     SolverError,
-    face_gap_constants,
-    face_resistance,
-    face_resistance_upper_check,
-    pinned_face_gap,
-    poincare_constant,
-    resistance_probe,
-    scaling_fit,
-    sigma_supremum,
-)
-from .walks import (
-    build_kernel,
-    build_wall_kernel,
-    coupling_check,
-    hitting_time_bands,
-    mean_hitting,
-    oscillation_stats,
-    quick_oscillation_check,
-    reversibility_residual,
-    simulate,
-    stochasticity_residual,
-    wall_hitting_report,
-)
-from .bricks import BrickWorkspace, build_cutoff
-from .heat import (
-    diffusive_window,
-    heat_rows,
-    holder_estimate,
-    subgaussian_fit,
+    SpecError,
+    locate_word,
+    parse_spec,
+    separation_constant,
+    validate,
 )
 
 
@@ -103,12 +68,12 @@ def _load_spec(args) -> IfsSpec:
 
 
 def _manifest(args, spec: IfsSpec, command: str) -> dict:
-    skip = {"func", "out"}
+    skip = {"func", "out", "spec"}
     return {
         "tool": "carpetlab",
         "version": __version__,
         "command": command,
-        "spec_path": os.path.abspath(args.spec),
+        "spec_path": os.path.relpath(args.spec),
         "spec_hash": spec.spec_hash(),
         "args": {
             k: v for k, v in sorted(vars(args).items())
@@ -122,8 +87,10 @@ def _out_dir(args) -> str:
     return args.out
 
 
-def _graph_cached(args, spec: IfsSpec, level: int) -> CellGraph:
+def _graph_cached(args, spec: IfsSpec, level: int):
     """The cached graph under --out, rebuilt if unusable; both obey --max-vertices."""
+    from .cellgraph import build_graph, check_budget, load_graph, save_graph
+
     check_budget(spec, level, args.max_vertices)
     cache_dir = os.path.join(args.out, "cache")
     os.makedirs(cache_dir, exist_ok=True)
@@ -140,7 +107,9 @@ def _graph_cached(args, spec: IfsSpec, level: int) -> CellGraph:
     return graph
 
 
-def _opts(args) -> SolveOptions:
+def _opts(args):
+    from .spectral import SolveOptions
+
     return SolveOptions(tol=args.tolerance)
 
 
@@ -158,8 +127,6 @@ def _parse_levels(text: str) -> list[int]:
 
 def cmd_validate(args) -> int:
     spec = _load_spec(args)
-    from .geometry import validate
-
     report = validate(spec)
     doc = report.as_dict()
     for name, cond in doc["conditions"].items():
@@ -175,6 +142,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_graph(args) -> int:
+    from .cellgraph import degree_report, export_adjacency_json
+
     spec = _load_spec(args)
     graph = _graph_cached(args, spec, args.level)
     stats = {
@@ -198,12 +167,23 @@ def cmd_graph(args) -> int:
 
 
 def cmd_constants(args) -> int:
+    from .spectral import (
+        ConstantsTable,
+        face_gap_constants,
+        face_resistance,
+        face_resistance_upper_check,
+        pinned_face_gap,
+        poincare_constant,
+        resistance_probe,
+        sigma_supremum,
+    )
+
     spec = _load_spec(args)
     opts = _opts(args)
     levels = _parse_levels(args.levels)
     quantities = args.quantities.split(",")
     table = ConstantsTable()
-    graphs: dict[int, CellGraph] = {}
+    graphs = {}
     for n in levels:
         graphs[n] = _graph_cached(args, spec, n)
     for n in levels:
@@ -259,6 +239,8 @@ def cmd_constants(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    from .spectral import ConstantsTable, scaling_fit
+
     spec = _load_spec(args)
     with open(args.table) as f:
         table = ConstantsTable.from_csv(f.read())
@@ -281,6 +263,16 @@ def cmd_fit(args) -> int:
 
 
 def cmd_walk(args) -> int:
+    from .cellgraph import middle_layers
+    from .spectral import poincare_constant
+    from .walks import (
+        build_kernel,
+        mean_hitting,
+        oscillation_stats,
+        quick_oscillation_check,
+        simulate,
+    )
+
     spec = _load_spec(args)
     opts = _opts(args)
     graph = _graph_cached(args, spec, args.level)
@@ -289,8 +281,6 @@ def cmd_walk(args) -> int:
     target = graph.face_set(0, 0)
     exact = mean_hitting(kernel, target, opts)
     if args.start == "upper-layer":
-        from .cellgraph import middle_layers
-
         _, upper, _ = middle_layers(graph)
         start = upper.astype(float) / upper.sum()
         exact_ref = float(exact.exact[upper].mean())
@@ -327,6 +317,17 @@ def cmd_walk(args) -> int:
 
 
 def cmd_wall(args) -> int:
+    from .cellgraph import build_wall
+    from .spectral import poincare_constant
+    from .walks import (
+        build_kernel,
+        build_wall_kernel,
+        coupling_check,
+        reversibility_residual,
+        stochasticity_residual,
+        wall_hitting_report,
+    )
+
     spec = _load_spec(args)
     opts = _opts(args)
     cell_graph = _graph_cached(args, spec, args.n)
@@ -365,6 +366,8 @@ def cmd_wall(args) -> int:
 
 
 def cmd_brick(args) -> int:
+    from .bricks import BrickWorkspace, build_cutoff
+
     spec = _load_spec(args)
     opts = _opts(args)
     graphs = {}
@@ -392,9 +395,7 @@ def cmd_brick(args) -> int:
     return 0
 
 
-def _resolve_sources(spec: IfsSpec, graph: CellGraph, names: str) -> list[int]:
-    from .geometry import locate_word
-
+def _resolve_sources(spec: IfsSpec, graph, names: str) -> list[int]:
     out = []
     half = Fraction(1, 2)
     for name in names.split(","):
@@ -412,6 +413,11 @@ def _resolve_sources(spec: IfsSpec, graph: CellGraph, names: str) -> list[int]:
 
 
 def cmd_heat(args) -> int:
+    from .cellgraph import _bfs_depths
+    from .heat import diffusive_window, heat_rows, holder_estimate, subgaussian_fit
+    from .spectral import poincare_constant
+    from .walks import build_kernel
+
     spec = _load_spec(args)
     opts = _opts(args)
     graph = _graph_cached(args, spec, args.level)
@@ -423,8 +429,6 @@ def cmd_heat(args) -> int:
         times = [int(t) for t in args.times.split(",")]
     sources = _resolve_sources(spec, graph, args.sources)
     snaps = heat_rows(kernel, sources, times, theta=args.theta)
-    from .cellgraph import _bfs_depths
-
     dists = {s: _bfs_depths(graph, s) for s in sources}
     d_h = math.log(spec.N) / math.log(spec.k)
     fit = subgaussian_fit(snaps, d_h, args.d_w, dists)
@@ -464,10 +468,21 @@ def cmd_heat(args) -> int:
 
 def cmd_report(args) -> int:
     """Light end-to-end battery at levels <= 2 with a one-file summary."""
+    from .cellgraph import build_wall, degree_report
+    from .spectral import (
+        face_resistance,
+        face_resistance_upper_check,
+        poincare_constant,
+    )
+    from .walks import (
+        build_kernel,
+        build_wall_kernel,
+        coupling_check,
+        hitting_time_bands,
+    )
+
     spec = _load_spec(args)
     opts = _opts(args)
-    from .geometry import validate
-
     vrep = validate(spec)
     summary = {"validation": vrep.as_dict(), "spec_hash": spec.spec_hash()}
     if vrep.passed:

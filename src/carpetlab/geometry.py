@@ -39,6 +39,14 @@ class SpecError(ValueError):
     """Raised when a carpet description violates a structural invariant."""
 
 
+class BudgetError(RuntimeError):
+    """Vertex budget exceeded; retry with a smaller level or a larger budget."""
+
+
+class SolverError(RuntimeError):
+    """A solve did not reach its residual bound, or a factorization failed."""
+
+
 def parse_rational(text: str | int) -> Fraction:
     """Parse a ``"p/q"`` string (or bare integer string/int) into a Fraction."""
     if isinstance(text, int):

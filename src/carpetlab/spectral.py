@@ -17,14 +17,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .cellgraph import CellGraph, build_graph, neighborhood, word_index
-from .geometry import IfsSpec, SpecError, Word
+from .geometry import IfsSpec, SolverError, SpecError, Word
 
 
 MAXITER = 20000  # iteration cap of every PCG and LOBPCG run
-
-
-class SolverError(RuntimeError):
-    """An iterative solve did not reach its residual bound."""
 
 
 @dataclass
@@ -154,7 +150,8 @@ def _word_prefix_preconditioner(L: sp.csr_matrix, N: int, n: int):
 
     P_m is constant on each level-m block, the contiguous index range of a
     word prefix; A_m = P_m^T L P_m, shifted by 1e-10 max diag off
-    singularity, is the only matrix factorized (N^m unknowns).
+    singularity, is the only matrix factorized (N^m unknowns).  A failed
+    factorization (SuperLU out of memory at large N^m) raises SolverError.
     """
     inv = 1.0 / L.diagonal()
     coo = L.tocoo()
@@ -164,7 +161,11 @@ def _word_prefix_preconditioner(L: sp.csr_matrix, N: int, n: int):
         A = sp.csc_matrix((coo.data, (coo.row // bs, coo.col // bs)),
                           shape=(N**m, N**m))
         A = A + 1e-10 * A.diagonal().max() * sp.identity(N**m, format="csc")
-        coarse.append((bs, spla.splu(A)))
+        try:
+            coarse.append((bs, spla.splu(A)))
+        except (SystemError, RuntimeError, MemoryError) as exc:
+            raise SolverError(
+                f"coarse factorization with {N**m} unknowns failed: {exc}") from exc
 
     def matmat(R):
         R = np.asarray(R).reshape(L.shape[0], -1)
@@ -333,25 +334,21 @@ def sigma_pair(
 
 
 def sigma_census(graph: CellGraph) -> list[tuple[Word, Word]]:
-    """One adjacent pair per isometry-orbit of the level's edge set."""
+    """One adjacent pair per isometry-orbit of the level's edge set.
+
+    Each edge u < v is keyed by the smallest (min, max) image pair over the
+    48 isometries; the first edge of each key, in edge order, is kept.
+    """
     from .cellgraph import word_permutation
     from .geometry import isometry_group
 
-    perms = [word_permutation(graph, g) for g in isometry_group()]
-    seen = set()
-    out = []
-    u_arr, v_arr = _edge_arrays(graph)
-    for u, v in zip(u_arr.tolist(), v_arr.tolist()):
-        if u > v:
-            continue
-        key = min(
-            (min(p[u], p[v]), max(p[u], p[v])) for p in perms
-        )
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((graph.word_of(u), graph.word_of(v)))
-    return out
+    perms = np.stack([word_permutation(graph, g) for g in isometry_group()])
+    u, v = _edge_arrays(graph)
+    u, v = u[u < v], v[u < v]
+    pu, pv = perms[:, u], perms[:, v]
+    keys = (np.minimum(pu, pv) * graph.num_vertices + np.maximum(pu, pv)).min(axis=0)
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    return [(graph.word_of(int(u[i])), graph.word_of(int(v[i]))) for i in first]
 
 
 def sigma_supremum(

@@ -1,8 +1,9 @@
 """Per-box ``Fraction`` references that tests compare the array code against.
 
-``box_intersection`` classifies the contact of two cubes exactly, and
-``fold_word`` folds a wall cell onto its level-n image one box at a time.
-Neither is used by the package: cell graphs, walls and validation decide the
+``box_intersection`` classifies the contact of two cubes exactly,
+``fold_word`` folds a wall cell onto its level-n image one box at a time, and
+``adapted_audit`` checks the separation constant one vertex pair at a time.
+None is used by the package: cell graphs, walls and validation decide the
 same questions on integer arrays.
 """
 
@@ -13,7 +14,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from carpetlab.geometry import Box, IfsSpec, Isometry, SpecError, Vec3, Word, cell_box
+import numpy as np
+
+from carpetlab.cellgraph import CellGraph, _bfs_depths, build_graph
+from carpetlab.geometry import (
+    Box,
+    IfsSpec,
+    Isometry,
+    SpecError,
+    Vec3,
+    Word,
+    cell_box,
+    separation_constant,
+)
 
 
 @dataclass(frozen=True)
@@ -108,3 +121,38 @@ def fold_word(spec: IfsSpec, m: int, n: int, word: Word) -> Word:
     if v is None:
         raise SpecError(f"folded box corner {folded.corner} matches no level-{n} cell")
     return v
+
+
+def adapted_audit(spec: IfsSpec, n: int, l_star: int,
+                  graph: CellGraph | None = None) -> dict:
+    """Empirical separation audit for the neighborhood radius l_star.
+
+    Checks that any two level-n cells with no connecting path of <= l_star
+    edges sit at Euclidean distance >= c_* k^-n.  Exact integer comparisons;
+    intended for n <= 2.
+    """
+    if graph is None:
+        graph = build_graph(spec, n)
+    c_star = separation_constant(spec)
+    count = graph.num_vertices
+    # threshold in scaled units: dist >= c* k^-n  <=>  dist_scaled >= c* L
+    bound = c_star * graph.side_scaled
+    bound_sq_num = bound.numerator**2
+    bound_sq_den = bound.denominator**2
+    violations = []
+    for u in range(count):
+        depth = _bfs_depths(graph, u, limit=l_star)
+        far = np.nonzero((depth < 0) | (depth > l_star))[0]
+        far = far[far > u]
+        cu = graph.corners[u]
+        for v in far:
+            gaps = np.maximum(
+                np.maximum(cu, graph.corners[v])
+                - np.minimum(cu, graph.corners[v])
+                - graph.side_scaled,
+                0,
+            )
+            dist_sq = int((gaps.astype(object) ** 2).sum())
+            if dist_sq * bound_sq_den < bound_sq_num:
+                violations.append((graph.word_of(u), graph.word_of(int(v))))
+    return {"l_star": l_star, "pass": not violations, "violations": violations[:10]}

@@ -6,14 +6,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from carpetlab.geometry import SpecError, axis_reflection
+from carpetlab.geometry import SpecError, axis_reflection, cell_box
 from carpetlab.cellgraph import word_permutation
 from carpetlab import bricks
 from carpetlab.bricks import (
     BrickWorkspace,
     _certify_midpoints,
     _certify_ramp,
-    axis_projections,
     bottom_slab_mask,
     build_cutoff,
     orbit_symmetrize,
@@ -24,12 +23,19 @@ from carpetlab.spectral import dirichlet_energy, face_resistance
 F = Fraction
 
 
+def x1_extent(spec, word):
+    """(a, b, c): x1 extent endpoints and midpoint of the cell of ``word``."""
+    box = cell_box(spec, word)
+    a = box.corner[0]
+    return a, a + box.side, a + box.side / 2
+
+
 def test_axis_projections(lab):
     spec = lab.spec
-    assert axis_projections(spec, ()) == (F(0), F(1), F(1, 2))
+    assert x1_extent(spec, ()) == (F(0), F(1), F(1, 2))
     d = spec.digit_of_corner((F(2, 3), F(0), F(0)))
-    assert axis_projections(spec, (d,)) == (F(2, 3), F(1), F(5, 6))
-    a, b, _ = axis_projections(spec, (d, d, d))
+    assert x1_extent(spec, (d,)) == (F(2, 3), F(1), F(5, 6))
+    a, b, _ = x1_extent(spec, (d, d, d))
     assert b - a == F(1, 27)
 
 
@@ -105,7 +111,7 @@ def test_boundary_linear_certificates(lab):
         g = ws.graph(n)
         bdry = np.nonzero(g.boundary())[0]
         for u in bdry[:: max(1, len(bdry) // 40)]:
-            _, _, c = axis_projections(lab.spec, g.word_of(int(u)))
+            _, _, c = x1_extent(lab.spec, g.word_of(int(u)))
             assert F(fb.num[u], fb.den) == c
 
 

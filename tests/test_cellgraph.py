@@ -10,15 +10,11 @@ import carpetlab as cl
 from carpetlab.cellgraph import (
     BudgetError,
     _bfs_depths,
-    adapted_audit,
     bottom_face_prefixes,
     build_graph,
     build_wall,
-    counting_measure,
     degree_report,
     export_adjacency_json,
-    graph_ball,
-    graph_distance,
     load_graph,
     middle_layers,
     neighborhood,
@@ -27,11 +23,12 @@ from carpetlab.cellgraph import (
     word_permutation,
 )
 from carpetlab.geometry import (
+    IfsSpec,
     SpecError,
     axis_reflection,
     cell_box,
 )
-from geometry_oracles import box_intersection, fold_word
+from geometry_oracles import adapted_audit, box_intersection, fold_word
 
 F = Fraction
 
@@ -94,9 +91,9 @@ def test_graph_distance_and_ball(lab):
     g = lab.graph(1)
     c = corner_index(lab, 0, 0, 0)
     far = corner_index(lab, 2, 2, 2)
-    assert graph_distance(g, c, far) == 6
-    assert graph_ball(g, c, 1).sum() == 1
-    assert graph_distance(g, c, c) == 0
+    depth = _bfs_depths(g, c)
+    assert depth[far] == 6 and depth[c] == 0
+    assert (_bfs_depths(g, c, limit=0) == 0).sum() == 1
 
 
 def _bfs_depths_loop(graph, start, limit=None):
@@ -144,9 +141,10 @@ def test_touching_grid_words_within_four(lab):
     spec = lab.spec
     for u in range(26):
         bu = cell_box(spec, (u,))
+        depth = _bfs_depths(g, u)
         for v in range(u + 1, 26):
             if box_intersection(bu, cell_box(spec, (v,))).kind != "empty":
-                assert graph_distance(g, u, v) <= 3
+                assert 0 <= depth[v] <= 3
 
 
 def test_isometry_equivariance(lab):
@@ -166,7 +164,7 @@ def test_isometry_equivariance(lab):
 
 def test_measures(lab):
     g = lab.graph(1)
-    assert counting_measure(g).sum() == 26
+    assert g.num_vertices == 26
     pi = walk_measure(g)
     c = corner_index(lab, 0, 0, 0)
     assert pi[c] == 4
@@ -280,7 +278,7 @@ def test_export_adjacency_matches_json_dumps(name, n):
 def test_connectivity_enforced():
     # a face pair plus an isolated far cell: the level-1 build must reject it
     cells = ((F(0), F(0), F(0)), (F(1, 3), F(0), F(0)), (F(2, 3), F(2, 3), F(2, 3)))
-    spec = cl.IfsSpec(name="split", k=3, cells=cells)
+    spec = IfsSpec(name="split", k=3, cells=cells)
     with pytest.raises(SpecError, match="disconnected"):
         build_graph(spec, 1)
 
@@ -289,7 +287,7 @@ def overlapping_carpet26():
     """carpet26 plus the cell (0, 0, 1/6), which overlaps two boundary cells."""
     spec = cl.builtin_spec("carpet26")
     cells = spec.cells + ((F(0), F(0), F(1, 6)),)
-    return cl.IfsSpec(name="overlap", k=3, cells=cells)
+    return IfsSpec(name="overlap", k=3, cells=cells)
 
 
 def test_overlapping_cells_are_reported():
@@ -302,4 +300,4 @@ def test_overlap_across_buckets_is_reported():
     # scaled by L = 6 the corners sit in buckets 0 and 1, yet the cubes overlap
     cells = ((F(1, 6), F(0), F(0)), (F(1, 3), F(0), F(0)))
     with pytest.raises(SpecError, match="overlap with positive volume"):
-        build_graph(cl.IfsSpec(name="slide", k=3, cells=cells), 1)
+        build_graph(IfsSpec(name="slide", k=3, cells=cells), 1)

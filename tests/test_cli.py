@@ -277,3 +277,63 @@ def test_solver_failure_exits_3(config26, tmp_path, capsys, monkeypatch):
     assert _exit_code(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_coarse_factorization_failure_exits_3(config26, tmp_path, capsys,
+                                               monkeypatch):
+    import carpetlab.spectral as spectral
+
+    def fail(_):
+        raise SystemError("gstrf was called with invalid arguments")
+
+    monkeypatch.setattr(spectral.spla, "splu", fail)
+    argv = ["--spec", config26, "--out", str(tmp_path / "f"),
+            "constants", "--levels", "2", "--quantities", "lambda"]
+    assert _exit_code(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_manifest_independent_of_checkout(tmp_path, monkeypatch):
+    manifests = []
+    for name in ("one", "two"):
+        root = tmp_path / name
+        root.mkdir()
+        (root / "carpet26.json").write_text(builtin_config("carpet26"))
+        monkeypatch.chdir(root)
+        assert main(["--spec", str(root / "carpet26.json"), "--out", "runs",
+                     "validate"]) == 0
+        manifests.append((root / "runs" / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
+    doc = json.loads(manifests[0])
+    assert doc["spec_path"] == "carpet26.json" and "spec" not in doc["args"]
+
+
+IMPORT_BOUNDARY = """
+import sys
+
+def scipy_loaded():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+import carpetlab
+assert not scipy_loaded(), "import carpetlab loaded scipy"
+from carpetlab.cli import main
+argv = ["--spec", sys.argv[1], "--out", sys.argv[2]]
+assert main(argv + ["validate"]) == 0
+assert not scipy_loaded(), "validate loaded scipy"
+assert main(argv + ["graph", "--level", "1"]) == 0
+"""
+
+
+def test_import_boundary(config26, tmp_path):
+    import subprocess
+    import sys
+
+    import carpetlab
+
+    src = os.path.dirname(os.path.dirname(carpetlab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_BOUNDARY, config26, str(tmp_path / "b")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -9,6 +9,8 @@ from hypothesis import given, settings, strategies as st
 import carpetlab as cl
 from carpetlab.geometry import (
     Box,
+    IfsSpec,
+    Isometry,
     SpecError,
     axis_reflection,
     axis_swap,
@@ -126,7 +128,7 @@ def test_validate_symmetry_closure(spec26):
     g = isometry_group()[7]
     dm = digit_map(spec26, g)
     cells = tuple(spec26.cells[dm.index(i)] for i in range(spec26.N))
-    relabeled = cl.IfsSpec(name="r", k=3, cells=cells)
+    relabeled = IfsSpec(name="r", k=3, cells=cells)
     assert validate(relabeled).passed
 
 
@@ -139,7 +141,7 @@ def test_threshold_constants_grid_spec_always_one():
     removed = {(1, 1, 1), (0, 1, 1)}
     cells = tuple(tuple(F(t, 3) for t in idx)
                   for idx in itertools.product(range(3), repeat=3) if idx not in removed)
-    spec = cl.IfsSpec(name="g", k=3, cells=cells)
+    spec = IfsSpec(name="g", k=3, cells=cells)
     cp, _ = edge_threshold_constants(spec)
     assert cp == 1
 
@@ -150,7 +152,7 @@ def test_threshold_constants_off_grid_half():
         (F(0), F(0), F(0)),
         (F(1, 3), F(1, 6), F(0)),
     )
-    spec = cl.IfsSpec(name="sliver", k=3, cells=cells)
+    spec = IfsSpec(name="sliver", k=3, cells=cells)
     cp, c = edge_threshold_constants(spec)
     assert cp == HALF and c == F(1, 324)
 
@@ -161,14 +163,14 @@ def test_separation_constant(spec26):
 
 def test_separation_constant_close_pair():
     cells = ((F(0), F(0), F(0)), (F(5, 12), F(0), F(0)))
-    spec = cl.IfsSpec(name="close", k=3, cells=cells)
+    spec = IfsSpec(name="close", k=3, cells=cells)
     # gap 1/12 = 1/(4k); capped value is k * 1/12 = 1/4
     assert separation_constant(spec) == F(1, 4)
 
 
 def test_separation_constant_all_touching():
     cells = ((F(0), F(0), F(0)), (F(1, 3), F(0), F(0)))
-    spec = cl.IfsSpec(name="touch", k=3, cells=cells)
+    spec = IfsSpec(name="touch", k=3, cells=cells)
     assert separation_constant(spec) == HALF
 
 
@@ -194,7 +196,7 @@ def test_apply_isometry_examples(spec26):
     w = (spec26.digit_of_corner((F(0), F(2, 3), F(1, 3))),)
     image = apply(swap, w)
     assert cell_box(spec26, image).corner == (F(2, 3), F(0), F(1, 3))
-    ident = cl.Isometry((0, 1, 2), (False, False, False))
+    ident = Isometry((0, 1, 2), (False, False, False))
     assert apply(ident, (1, 2, 3)) == (1, 2, 3)
     # reflections are involutions on words
     assert apply(refl, apply(refl, w)) == w

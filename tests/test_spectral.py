@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from carpetlab.geometry import SpecError, axis_swap
+from carpetlab.geometry import SpecError, axis_swap, isometry_group
 from carpetlab.cellgraph import word_permutation
 from carpetlab.spectral import (
     ConstantsTable,
@@ -199,6 +199,33 @@ def test_sigma_census_orbits(lab):
     reps = sigma_census(lab.graph(1))
     # the 26-cell level-1 graph has few face-contact orbit types
     assert 1 <= len(reps) <= 6
+
+
+def sigma_census_loop(graph):
+    """Per-edge reference for sigma_census: first edge of each orbit key."""
+    perms = [word_permutation(graph, g) for g in isometry_group()]
+    seen = set()
+    out = []
+    u_arr = np.repeat(np.arange(graph.num_vertices), np.diff(graph.indptr))
+    for u, v in zip(u_arr.tolist(), graph.indices.tolist()):
+        if u > v:
+            continue
+        key = min(
+            (min(p[u], p[v]), max(p[u], p[v])) for p in perms
+        )
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append((graph.word_of(u), graph.word_of(v)))
+    return out
+
+
+@pytest.mark.parametrize("name, n", [
+    ("carpet26", 1), ("carpet26", 2), ("offgrid158", 1), ("menger", 1),
+])
+def test_sigma_census_matches_loop(graph_of, name, n):
+    g = graph_of(name, n)
+    assert sigma_census(g) == sigma_census_loop(g)
 
 
 def test_face_gap_constants(lab):
