@@ -23,20 +23,14 @@ from carpetlab.spectral import dirichlet_energy, face_resistance
 F = Fraction
 
 
-def x1_extent(spec, word):
-    """(a, b, c): x1 extent endpoints and midpoint of the cell of ``word``."""
-    box = cell_box(spec, word)
-    a = box.corner[0]
-    return a, a + box.side, a + box.side / 2
-
-
 def test_axis_projections(lab):
     spec = lab.spec
-    assert x1_extent(spec, ()) == (F(0), F(1), F(1, 2))
+    box = cell_box(spec, ())
+    assert (box.corner[0], box.side) == (F(0), F(1))
     d = spec.digit_of_corner((F(2, 3), F(0), F(0)))
-    assert x1_extent(spec, (d,)) == (F(2, 3), F(1), F(5, 6))
-    a, b, _ = x1_extent(spec, (d, d, d))
-    assert b - a == F(1, 27)
+    box = cell_box(spec, (d,))
+    assert (box.corner[0], box.side) == (F(2, 3), F(1, 3))
+    assert cell_box(spec, (d, d, d)).side == F(1, 27)
 
 
 def test_orbit_symmetrize_bitwise(lab):
@@ -111,8 +105,8 @@ def test_boundary_linear_certificates(lab):
         g = ws.graph(n)
         bdry = np.nonzero(g.boundary())[0]
         for u in bdry[:: max(1, len(bdry) // 40)]:
-            _, _, c = x1_extent(lab.spec, g.word_of(int(u)))
-            assert F(fb.num[u], fb.den) == c
+            box = cell_box(lab.spec, g.word_of(int(u)))
+            assert F(fb.num[u], fb.den) == box.corner[0] + box.side / 2
 
 
 def test_boundary_linear_coherence(lab):
