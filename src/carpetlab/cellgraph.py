@@ -234,11 +234,15 @@ def _adjacency(corners: np.ndarray, side: int, grid: np.ndarray,
         edge = np.where(grid[i] & grid[j], full_face, edge)
         src.append(i[edge])
         dst.append(j[edge])
-    rows = np.concatenate(src + dst)
+    pairs = np.concatenate(src + dst)
     indptr = np.zeros(count + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=count), out=indptr[1:])
+    np.cumsum(np.bincount(pairs, minlength=count), out=indptr[1:])
     # row-major order of the (row, column) pairs, neighbours ascending
-    return indptr, np.sort(rows * count + np.concatenate(dst + src)) % count
+    pairs *= count
+    pairs += np.concatenate(dst + src)
+    pairs.sort()
+    pairs %= count
+    return indptr, pairs
 
 
 def check_budget(spec: IfsSpec, n: int, max_vertices: int) -> None:

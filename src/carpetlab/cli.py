@@ -451,11 +451,13 @@ def cmd_heat(args) -> int:
     _write_json(os.path.join(out, f"heat_n{args.level}.json"), doc)
     if args.export_csv:
         import gzip
+        import io
 
         name = f"heat_rows_n{args.level}.csv" + (".gz" if args.gzip else "")
         path = os.path.join(out, name)
-        opener = gzip.open if args.gzip else open
-        with opener(path, "wt") as f:
+        # mtime=0: the gzip header carries no clock, so the bytes are reproducible
+        with (io.TextIOWrapper(gzip.GzipFile(path, "wb", mtime=0)) if args.gzip
+              else open(path, "w")) as f:
             f.write("source,target,time,value\n")
             for snap in snaps:
                 for s, row in snap.rows.items():
@@ -591,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_brick)
 
     sp = sub.add_parser("heat", help="heat kernel rows and shape fits")
-    sp.add_argument("--level", type=int, default=2)
+    sp.add_argument("--level", type=int, default=3)
     sp.add_argument("--sources", default="corner,center-face")
     sp.add_argument("--times", default="dyadic")
     sp.add_argument("--theta", type=float, default=0.5)

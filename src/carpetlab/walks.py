@@ -3,9 +3,11 @@
 Kernels are assembled exactly: every transition probability is 1/d for an
 integer d recorded next to the float matrix, so stochasticity, detailed
 balance and the wall-to-cell folding identity can be verified with zero
-residual.  Kernels are built as arrays from the graph's CSR; the checks are
-integer identities on common denominators, and ``Fraction`` values are formed
-only where an identity fails, so a reported residual is the exact maximum.
+residual.  A kernel is the graph's CSR merged with its boundary self-loops,
+and the checks work on the kernel's CSR arrays: integer identities on common
+denominators, with each entry's transpose found by one CSR transpose.
+``Fraction`` values are formed only where an identity fails, so a reported
+residual is the exact maximum.
 
 The Monte Carlo engine draws each trajectory from its own counter-based
 ``Philox`` stream keyed by (master seed, trajectory index), so a path's
@@ -52,14 +54,23 @@ class WalkKernel:
         return self.P.shape[0]
 
 
-def _assemble(rows_u, rows_v, rows_den, size, pi, kind, n, m, graph, wall):
-    order = np.argsort(rows_u * size + rows_v, kind="stable")
-    u, v, den = rows_u[order], rows_v[order], rows_den[order].astype(np.int64)
-    data = 1.0 / den
-    indptr = np.searchsorted(u, np.arange(size + 1))
-    P = sp.csr_matrix((data, v, indptr), shape=(size, size))
-    return WalkKernel(kind=kind, n=n, m=m, P=P, pi=pi, dens=den,
-                      graph=graph, wall=wall)
+def _assemble(edges, dens, loops, loop_dens, **fields) -> WalkKernel:
+    """Kernel of ``edges`` (ascending neighbour lists, denominators ``dens``)
+    and a self-loop of denominator ``loop_dens[u]`` in each row u of ``loops``,
+    merged by scipy as canonical CSR.  Callers check rows once ``dens`` is freed."""
+    shape = (edges.num_vertices,) * 2
+    K = (sp.csr_matrix((dens, edges.indices, edges.indptr), shape=shape)
+         + sp.csr_matrix((loop_dens[loops], np.flatnonzero(loops),
+                          np.append(0, np.cumsum(loops))), shape=shape))
+    return WalkKernel(P=sp.csr_matrix((1.0 / K.data, K.indices, K.indptr),
+                                      shape=shape), dens=K.data, **fields)
+
+
+def _rows_exact(kernel: WalkKernel) -> WalkKernel:
+    res = stochasticity_residual(kernel)
+    if res != 0:
+        raise SpecError(f"kernel rows do not sum to 1 exactly (residual {res})")
+    return kernel
 
 
 def build_kernel(graph: CellGraph) -> WalkKernel:
@@ -69,14 +80,8 @@ def build_kernel(graph: CellGraph) -> WalkKernel:
     exactly when w is a border word (pi adds the +1 there).
     """
     pi = walk_measure(graph)
-    loops = np.flatnonzero(graph.boundary())
-    rows = np.concatenate([np.repeat(np.arange(graph.num_vertices), graph.degrees),
-                           loops])
-    cols = np.concatenate([graph.indices, loops])
-    kernel = _assemble(rows, cols, pi[rows], graph.num_vertices, pi,
-                       "cell", graph.n, None, graph, None)
-    _check_rows_exact(kernel)
-    return kernel
+    return _rows_exact(_assemble(graph, np.repeat(pi, graph.degrees), graph.boundary(),
+                                 pi, kind="cell", n=graph.n, m=None, pi=pi, graph=graph))
 
 
 def build_wall_kernel(wall: WallGraph) -> WalkKernel:
@@ -85,15 +90,11 @@ def build_wall_kernel(wall: WallGraph) -> WalkKernel:
     pi = wall.pi
     bs = wall.block_size
     shared = pi * (wall.outside_degree + 1)
-    loops = np.flatnonzero(wall.cell_graph.boundary()[wall.fold])
     rows = np.repeat(np.arange(wall.num_vertices), np.diff(wall.indptr))
     dens = np.where(wall.indices // bs == rows // bs, pi[rows], shared[rows])
-    kernel = _assemble(np.concatenate([rows, loops]),
-                       np.concatenate([wall.indices, loops]),
-                       np.concatenate([dens, shared[loops]]),
-                       wall.num_vertices, pi, "wall", wall.n, wall.m, None, wall)
-    _check_rows_exact(kernel)
-    return kernel
+    return _rows_exact(_assemble(wall, dens, wall.cell_graph.boundary()[wall.fold],
+                                 shared, kind="wall", n=wall.n, m=wall.m, pi=pi,
+                                 wall=wall))
 
 
 def lazy_kernel(kernel: WalkKernel, theta: float = 0.5) -> WalkKernel:
@@ -112,85 +113,80 @@ def lazy_kernel(kernel: WalkKernel, theta: float = 0.5) -> WalkKernel:
 # ---------------------------------------------------------------------------
 
 
-def _check_rows_exact(kernel: WalkKernel) -> None:
-    res = stochasticity_residual(kernel)
-    if res != 0:
-        raise SpecError(f"kernel rows do not sum to 1 exactly (residual {res})")
-
-
-def _exact_entries(kernel: WalkKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, column, denominator) of every stored entry; denominators > 0."""
+def _exact_dens(kernel: WalkKernel) -> np.ndarray:
+    """The denominator of every stored entry, in storage order; all positive."""
     if kernel.dens is None:
         raise SpecError("exact entries not available for this kernel kind")
     if (kernel.dens <= 0).any():
         raise SpecError("kernel denominators must be positive")
-    indptr = kernel.P.indptr
-    rows = np.repeat(np.arange(kernel.num_states), np.diff(indptr))
-    return rows, kernel.P.indices.astype(np.int64), kernel.dens
+    return kernel.dens
 
 
 def _exact_ints(bound: int, *arrays: np.ndarray) -> list[np.ndarray]:
     """The arrays as int64, or as Python ints when ``bound`` leaves int64."""
     dtype = np.int64 if bound < 2**63 else object
-    return [np.asarray(a).astype(dtype) for a in arrays]
+    return [np.asarray(a).astype(dtype, copy=False) for a in arrays]
 
 
-def _max_group_sum(starts: np.ndarray, nums: np.ndarray, dens: np.ndarray) -> Fraction:
-    """Exact max over groups of |sum nums/dens|, summed on each group's lcm.
+def _max_group_sum(starts: np.ndarray, dens: np.ndarray, minus: int = 0) -> Fraction:
+    """Exact max over groups of |sum 1/dens - minus|, on a common multiple.
 
-    Group g is entries starts[g]..starts[g+1]-1; denominators are positive.
+    Group g is entries starts[g]..starts[g+1]-1, and a negative denominator
+    subtracts its term.  The terms fill one entry-sized buffer in place.
     """
     if len(starts) == 0:
         return Fraction(0)
     size = np.diff(np.append(starts, len(dens)))
     big = int(size.max())
-    bound = int(np.abs(nums).max()) * int(dens.max()) ** big * big
-    nums, dens = _exact_ints(bound, nums, dens)
+    top = max(int(dens.max()), -int(dens.min()))
+    (dens,) = _exact_ints(top**big * (big + minus), dens)
     common = np.lcm.reduceat(dens, starts)
-    total = np.add.reduceat(nums * (np.repeat(common, size) // dens), starts)
+    terms = np.repeat(common, size)
+    terms //= dens
+    total = np.add.reduceat(terms, starts)
+    total -= minus * common
     return max((abs(Fraction(int(total[g]), int(common[g])))
-                for g in np.flatnonzero(total != 0)), default=Fraction(0))
+                for g in np.flatnonzero(total)), default=Fraction(0))
 
 
 def stochasticity_residual(kernel: WalkKernel) -> Fraction:
-    """Max |row sum - 1| in exact arithmetic (0 for well-formed kernels).
-
-    Each row is summed on the lcm of its denominators; the -1 rides on the
-    first entry of the row.  An empty row has residual exactly 1.
-    """
-    _, _, dens = _exact_entries(kernel)
-    indptr = kernel.P.indptr.astype(np.int64)
+    """Max |row sum - 1| in exact arithmetic, each row summed on the lcm of
+    its denominators (0 for well-formed kernels, 1 with an empty row)."""
+    indptr = kernel.P.indptr
     filled = np.diff(indptr) > 0
-    starts = indptr[:-1][filled]
-    nums = np.ones(len(dens), dtype=np.int64)
-    nums[starts] -= dens[starts]
-    worst = _max_group_sum(starts, nums, dens)
-    return max(worst, Fraction(1)) if not filled.all() else worst
+    worst = _max_group_sum(indptr[:-1][filled], _exact_dens(kernel), minus=1)
+    return worst if filled.all() else max(worst, Fraction(1))
 
 
 def reversibility_residual(kernel: WalkKernel) -> Fraction:
-    """Max |pi(u)P(u,v) - pi(v)P(v,u)| in exact arithmetic.
+    """Max |pi(u)P(u,v) - pi(v)P(v,u)| in exact arithmetic (1 if asymmetric).
 
-    Each entry meets its transpose through ``searchsorted`` on u*V+v keys and
-    is compared as pi(u)*d_vu == pi(v)*d_uv.  Asymmetric support gives 1.
+    One CSR transpose of the storage positions pairs each entry with its
+    transpose; the support is symmetric iff it has the ``indptr`` and sorted
+    ``indices`` of P.  An entry and its transpose compare pi(u)*d_vu, pi(v)*d_uv.
     """
-    rows, cols, dens = _exact_entries(kernel)
-    if len(dens) == 0:
+    dens, P = _exact_dens(kernel), kernel.P
+    if P.nnz == 0:
         return Fraction(0)
-    size = kernel.num_states
-    keys = rows * size + cols
-    order = np.argsort(keys, kind="stable")
-    keys, transposed = keys[order], cols * size + rows
-    pos = np.minimum(np.searchsorted(keys, transposed), len(keys) - 1)
-    if (keys[pos] != transposed).any():
+    where = sp.csr_matrix((np.arange(P.nnz, dtype=P.indices.dtype), P.indices,
+                           P.indptr), shape=P.shape)
+    if not where.has_sorted_indices:
+        where = where.sorted_indices()  # a copy: P keeps its own order
+    T = where.T.tocsr()
+    if not (np.array_equal(T.indptr, where.indptr)
+            and np.array_equal(T.indices, where.indices)):
         return Fraction(1)  # asymmetric support
-    back = order[pos]
+    back = np.empty_like(T.data)
+    back[where.data] = T.data  # back[j]: the storage position of j's transpose
+    del where, T
     pi = np.asarray(kernel.pi)
     pi, d_uv = _exact_ints(2 * int(np.abs(pi).max()) * int(dens.max()), pi, dens)
-    d_vu = d_uv[back]
-    diff = pi[rows] * d_vu - pi[cols] * d_uv
-    return max((abs(Fraction(int(diff[j]), int(d_uv[j]) * int(d_vu[j])))
-                for j in np.flatnonzero(diff != 0)), default=Fraction(0))
+    rhs = pi[P.indices]
+    rhs *= d_uv  # pi(v)*d_uv of entry (u, v)
+    diff = rhs[back]  # pi(u)*d_vu, the right-hand side of the transpose
+    diff -= rhs
+    return max((abs(Fraction(int(diff[j]), int(d_uv[j]) * int(d_uv[back[j]])))
+                for j in np.flatnonzero(diff)), default=Fraction(0))
 
 
 def kernel_energy(kernel: WalkKernel, f: np.ndarray) -> float:
@@ -212,20 +208,18 @@ def coupling_check(wall_kernel: WalkKernel, cell_kernel: WalkKernel) -> dict:
         raise SpecError("kernel dimensions do not match")
     fold = wall.fold
     size = cell_kernel.num_states
-    # pushed wall entries (u, fold[v], +1/d) against the cell row fold[u]
-    # pulled back to u as (u, v, -1/d); keys u*V+v group both sides
-    rows_w, cols_w, dens_w = _exact_entries(wall_kernel)
-    _, cols_c, dens_c = _exact_entries(cell_kernel)
-    pulled = sp.csr_matrix((dens_c, cols_c, cell_kernel.P.indptr),
-                           shape=cell_kernel.P.shape)[fold]
-    rows_c = np.repeat(np.arange(wall_kernel.num_states), np.diff(pulled.indptr))
-    keys = np.concatenate([rows_w * size + fold[cols_w],
-                           rows_c * size + pulled.indices])
+    W, C = wall_kernel.P, cell_kernel.P
+    # pushed wall entries (u, fold[v], 1/d) against the cell row fold[u]
+    # pulled back to u as (u, v, 1/-d); keys u*V+v group both sides
+    pulled = sp.csr_matrix((-_exact_dens(cell_kernel), C.indices, C.indptr),
+                           shape=C.shape)[fold]
+    base = np.arange(wall_kernel.num_states) * size
+    keys = np.concatenate([np.repeat(base, np.diff(W.indptr)) + fold[W.indices],
+                           np.repeat(base, np.diff(pulled.indptr)) + pulled.indices])
     order = np.argsort(keys, kind="stable")
     starts = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    nums = np.where(order < len(rows_w), 1, -1)
-    dens = np.concatenate([dens_w, pulled.data])[order]
-    worst = _max_group_sum(starts, nums, dens)
+    dens = np.concatenate([_exact_dens(wall_kernel), pulled.data])[order]
+    worst = _max_group_sum(starts, dens)
     return {"exact_residual": worst, "float_residual": float(worst)}
 
 

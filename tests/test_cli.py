@@ -194,6 +194,27 @@ def test_heat_command_gzip_export(config26, tmp_path):
         assert f.readline().strip() == "source,target,time,value"
 
 
+def test_heat_gzip_export_is_byte_deterministic(config26, tmp_path, monkeypatch):
+    import gzip
+
+    blobs = []
+    for stamp in (1e9, 2e9):  # the clock a gzip header would carry
+        monkeypatch.setattr(gzip.time, "time", lambda t=stamp: t)
+        out = tmp_path / f"hz{int(stamp)}"
+        assert main(["--spec", config26, "--out", str(out), "heat",
+                     "--level", "2", "--times", "4,6,8,10,12", "--sources", "corner",
+                     "--export-csv", "--gzip"]) == 0
+        blobs.append((out / "heat_rows_n2.csv.gz").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def test_heat_command_runs_with_its_defaults(config26, tmp_path):
+    # default level 3 with dyadic times: the diffusive window is not empty
+    out = tmp_path / "hd"
+    assert main(["--spec", config26, "--out", str(out), "heat"]) == 0
+    assert json.loads((out / "heat_n3.json").read_text())["level"] == 3
+
+
 def test_heat_command_window_too_small(config26, tmp_path):
     # dyadic window is empty below level 3: the command must error out
     assert main(["--spec", config26, "--out", str(tmp_path / "hw"), "heat",

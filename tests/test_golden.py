@@ -10,8 +10,11 @@ written by the per-pair ``Fraction`` geometry; the current code must
 reproduce all four exactly.  The level-1 oracle re-derives
 every edge from ``box_intersection`` and the contact rule, pair by pair, and
 the voxel oracle rebuilds on-grid graphs as face graphs of occupied voxels.
+The kernels and their exact checks are compared with the sort-key code of
+``walk_oracles``, on every construction case and on corrupted copies.
 """
 
+import dataclasses
 import importlib.util
 import itertools
 import json
@@ -20,15 +23,30 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import carpetlab as cl
-from carpetlab.cellgraph import build_graph
+from carpetlab.cellgraph import build_graph, build_wall
 from carpetlab.geometry import (
     SpecError,
     cell_box,
     edge_threshold_constants,
 )
+from carpetlab.walks import (
+    build_kernel,
+    build_wall_kernel,
+    coupling_check,
+    reversibility_residual,
+    stochasticity_residual,
+)
 from geometry_oracles import box_intersection
+from walk_oracles import (
+    build_kernel_by_sort,
+    build_wall_kernel_by_sort,
+    coupling_by_product,
+    reversibility_by_search,
+    stochasticity_by_product,
+)
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -55,6 +73,96 @@ def test_reference_covers_every_case():
 @pytest.mark.parametrize("case", hashes.cases())
 def test_construction_hashes_match_reference(case):
     assert hashes.compute(case) == REFERENCE[case]
+
+
+def _case_kernels(case):
+    """(kernel, sort-key oracle kernel, cell kernel or None) of one case."""
+    name, rest = case.split("/", 1)
+    spec = cl.builtin_spec(name)
+    if rest.startswith("wall_"):
+        m, n = (int(t[1:]) for t in rest[len("wall_"):].split("_"))
+        cell = build_graph(spec, n)
+        wall = build_wall(spec, m, n, cell_graph=cell)
+        return build_wall_kernel(wall), build_wall_kernel_by_sort(wall), build_kernel(cell)
+    level, pc = rest.split("/")
+    g = build_graph(spec, int(level[1:]), point_contact_edges=pc.endswith("1"))
+    return build_kernel(g), build_kernel_by_sort(g), None
+
+
+def _rebuilt(kernel, rows, cols, dens, descending=False):
+    """The kernel with entries (rows, cols, dens), rows in order and columns
+    ascending, or descending (a non-canonical CSR)."""
+    size = kernel.num_states
+    order = np.lexsort((-cols if descending else cols, rows))
+    rows, cols, dens = rows[order], cols[order], dens[order]
+    indptr = np.searchsorted(rows, np.arange(size + 1))
+    P = sp.csr_matrix((1.0 / dens.astype(float), cols, indptr), shape=(size, size))
+    return dataclasses.replace(kernel, P=P, dens=dens)
+
+
+def _corruptions(kernel):
+    """(label, corrupted copy) pairs; every copy keeps int64 denominators."""
+    P, dens = kernel.P, kernel.dens
+    rows = np.repeat(np.arange(kernel.num_states), np.diff(P.indptr))
+    cols = P.indices.astype(np.int64)
+    off = np.flatnonzero(rows != cols)
+    j = off[len(off) // 2]
+    changed, near = dens.copy(), dens.copy()
+    changed[j] += 1
+    near[j] = 2**62  # int64, but the lcm products leave it
+    others = rows != rows[j]
+    unlooped = np.setdiff1d(np.arange(kernel.num_states), rows[rows == cols])
+    if len(unlooped):  # a new self-loop of probability 1/7
+        r = unlooped[len(unlooped) // 2]
+        looped = _rebuilt(kernel, np.append(rows, r), np.append(cols, r),
+                          np.append(dens, 7))
+    else:  # an existing self-loop changes
+        looped = dataclasses.replace(kernel, dens=np.where(rows == cols, dens + 1, dens))
+    kept = np.arange(len(dens)) != j
+    return [("changed denominator", _rebuilt(kernel, rows, cols, changed)),
+            ("dropped transpose", _rebuilt(kernel, rows[kept], cols[kept], dens[kept])),
+            ("empty row", _rebuilt(kernel, rows[others], cols[others], dens[others])),
+            ("self-loop", looped),
+            ("denominator near 2**62", dataclasses.replace(kernel, dens=near)),
+            ("unsorted columns", _rebuilt(kernel, rows, cols, dens, descending=True)),
+            ("unsorted and changed", _rebuilt(kernel, rows, cols, changed,
+                                              descending=True))]
+
+
+@pytest.mark.parametrize("case", hashes.cases())
+def test_kernels_and_exact_checks_match_sort_key_oracles(case):
+    kernel, oracle, cell = _case_kernels(case)
+    for field in ("indptr", "indices", "data"):
+        new, old = getattr(kernel.P, field), getattr(oracle.P, field)
+        assert new.dtype == old.dtype and np.array_equal(new, old), field
+    assert kernel.dens.dtype == oracle.dens.dtype
+    assert np.array_equal(kernel.dens, oracle.dens)
+    assert stochasticity_residual(kernel) == stochasticity_by_product(oracle) == 0
+    assert reversibility_residual(kernel) == reversibility_by_search(oracle) == 0
+    if cell is not None:
+        assert coupling_check(kernel, cell)["exact_residual"] == 0
+        assert coupling_by_product(oracle, cell) == 0
+    for label, bad in _corruptions(kernel):
+        assert stochasticity_residual(bad) == stochasticity_by_product(bad), label
+        assert reversibility_residual(bad) == reversibility_by_search(bad), label
+        if cell is not None:
+            assert (coupling_check(bad, cell)["exact_residual"]
+                    == coupling_by_product(bad, cell)), label
+
+
+@pytest.mark.parametrize("case", ["carpet26/n2/point_contact=1", "carpet26/wall_m1_n1"])
+def test_exact_checks_with_denominators_past_int64(case):
+    kernel, _, _ = _case_kernels(case)
+    P = kernel.P
+    rows = np.repeat(np.arange(kernel.num_states), np.diff(P.indptr))
+    j = int(np.flatnonzero(rows != P.indices)[0])
+    d = int(kernel.dens[j])
+    huge = kernel.dens.astype(object)
+    huge[j] = d * 2**70
+    bad = dataclasses.replace(kernel, dens=huge)
+    # the other rows still sum to 1, so row rows[j] alone misses 1/d - 1/huge[j]
+    assert stochasticity_residual(bad) == Fraction(1, d) - Fraction(1, d * 2**70)
+    assert reversibility_residual(bad) == reversibility_by_search(bad) != 0
 
 
 def test_simulate_reference_covers_every_case():

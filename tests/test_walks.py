@@ -1,6 +1,7 @@
 """Kernels, coupling, hitting solves, oscillation machinery, Monte Carlo."""
 
 import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,6 @@ from carpetlab.geometry import SpecError
 from carpetlab.spectral import dirichlet_energy
 from carpetlab.walks import (
     WalkKernel,
-    _exact_entries,
     _path_generator,
     build_kernel,
     build_wall_kernel,
@@ -144,11 +144,35 @@ def test_exact_checks_at_level_zero(spec26):
     assert reversibility_residual(empty) == 0
 
 
+def _traced(fn):
+    """fn() and its temporaries: the traced peak above the memory it keeps."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak - kept
+
+
+def test_kernel_build_and_reversibility_temporaries_stay_small(lab):
+    # both work on the kernel's CSR arrays, with no row*V+col sort keys
+    g = lab.graph(3)
+    kernel, build_bytes = _traced(lambda: build_kernel(g))
+    P = kernel.P
+    own = P.data.nbytes + P.indices.nbytes + P.indptr.nbytes + kernel.dens.nbytes
+    residual, check_bytes = _traced(lambda: reversibility_residual(kernel))
+    assert residual == 0
+    assert build_bytes < 3 * own
+    assert check_bytes < 3 * own
+
+
 def wall_conductances(kernel: WalkKernel) -> set[Fraction]:
     """Distinct off-diagonal conductance values pi(u)P(u,v) of a wall kernel."""
-    rows, cols, dens = _exact_entries(kernel)
-    off = rows != cols
-    pairs = np.unique(np.stack([np.asarray(kernel.pi)[rows[off]], dens[off]]), axis=1)
+    rows = np.repeat(np.arange(kernel.num_states), np.diff(kernel.P.indptr))
+    off = rows != kernel.P.indices
+    pairs = np.unique(np.stack([np.asarray(kernel.pi)[rows[off]], kernel.dens[off]]),
+                      axis=1)
     return {Fraction(int(p), int(d)) for p, d in pairs.T}
 
 
