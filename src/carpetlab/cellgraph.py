@@ -6,9 +6,18 @@ contiguous index ranges.  All geometric predicates run on integer-scaled
 corners (scale S = k^n * L with L the lcm of translation denominators, so
 every cell has side L), which keeps graph construction exact.
 
-Construction is array code: cells are bucketed by corner // L (one cell per
-bucket in a valid spec), neighbours are found by ``searchsorted`` on the
-bucket keys, and walls fold onto the level-n graph through the same keys.
+Construction follows the self-similarity.  G_n is N copies of level n-1, one
+per level-1 block (block b holds the words b.w as the index range b*N^(n-1) +
+w), joined by the edges between blocks.  Contacts between blocks lie on the
+block boundaries, so only the level-(n-1) cells on those faces, copied into
+each block, are classified; each CSR row is the block row shifted, with the
+cross neighbours before and after it.  Corners, grid flags and component
+labels lift the same way, so G_n is checked to be connected without a pass
+over it.  Specs with interior (non-grid) digits also lift G', the same cells
+with every grid flag false, which those blocks copy.  Contacts are classified
+by array code: cells are bucketed by corner // L (one cell per bucket in a
+valid spec) and neighbours are found by ``searchsorted`` on the bucket keys;
+walls fold onto the level-n graph through the same keys.
 """
 
 from __future__ import annotations
@@ -158,17 +167,6 @@ def _scaled_geometry(spec: IfsSpec, n: int):
     return corners, spec.k**n * table.side, table.side
 
 
-def _grid_flags(spec: IfsSpec, n: int) -> np.ndarray:
-    table = _pair_table(spec)
-    top = table.scale - table.side
-    digit_boundary = ((table.corners == 0) | (table.corners == top)).any(axis=1)
-    count = spec.N**n
-    flags = np.ones(count, dtype=bool)
-    for digits in _digit_arrays(n, spec.N, count):
-        flags &= digit_boundary[digits]
-    return flags
-
-
 _OVERLAP = "cells overlap with positive volume; spec is invalid"
 
 # the 13 bucket offsets lexicographically above (0, 0, 0): each unordered pair
@@ -195,7 +193,8 @@ def _adjacency(corners: np.ndarray, side: int, grid: np.ndarray,
     Cells are bucketed by corner // side.  Two cells in one bucket differ by
     less than a side on every axis and so overlap, hence every bucket of a
     valid spec holds one cell and touching cells sit in neighbouring buckets.
-    All candidate pairs of one bucket offset are classified at once.
+    All candidate pairs of one bucket offset are classified at once; the
+    targets are searched in key order, which is sorted.
     """
     count = len(corners)
     width = int(corners.max(initial=0)) // side + 3
@@ -208,10 +207,10 @@ def _adjacency(corners: np.ndarray, side: int, grid: np.ndarray,
     wide = side * side * max(num, den) >= 2**63  # measures leave int64
     src, dst = [], []
     for dx, dy, dz in _POSITIVE_OFFSETS:
-        target = keys + (dx * width + dy) * width + dz
+        target = sorted_keys + (dx * width + dy) * width + dz
         pos = np.minimum(np.searchsorted(sorted_keys, target), count - 1)
-        i = np.flatnonzero(sorted_keys[pos] == target)
-        j = order[pos[i]]
+        hit = np.flatnonzero(sorted_keys[pos] == target)
+        i, j = order[hit], order[pos[hit]]
         lens = side - np.abs(corners[i] - corners[j])  # overlap per axis
         touch = (lens[:, 0] >= 0) & (lens[:, 1] >= 0) & (lens[:, 2] >= 0)
         i, j, lens = i[touch], j[touch], lens[touch]
@@ -253,13 +252,130 @@ def check_budget(spec: IfsSpec, n: int, max_vertices: int) -> None:
         raise BudgetError(f"level {n} needs {spec.N**n} vertices > budget {max_vertices}")
 
 
+@dataclass(frozen=True)
+class _Digits:
+    """What every lift reads: the level-1 cells and the contact rule."""
+
+    corners: np.ndarray  # (N, 3) int64, scaled so that a cell has side ``side``
+    grid: np.ndarray  # bool: the cell touches the cube boundary
+    faces: np.ndarray  # (N, 6) bool: faces (low x y z, high x y z) towards a meeting cell
+    k: int
+    side: int
+    threshold: Fraction
+    point_contact: bool
+
+
+def _digits(spec: IfsSpec, point_contact: bool) -> _Digits:
+    """The level-1 data of ``spec``; faces come from the exact pair table."""
+    table = _pair_table(spec)
+    corners = np.asarray(table.corners, dtype=np.int64)
+    top = table.scale - table.side
+    meet = (table.lens >= 0).all(axis=1)
+    i, j = table.i[meet], table.j[meet]
+    towards_j = np.concatenate([corners[j] < corners[i], corners[j] > corners[i]],
+                               axis=1)
+    faces = np.zeros((spec.N, 6), dtype=bool)
+    np.logical_or.at(faces, i, towards_j)
+    np.logical_or.at(faces, j, np.roll(towards_j, 3, axis=1))
+    return _Digits(corners=corners,
+                   grid=((corners == 0) | (corners == top)).any(axis=1),
+                   faces=faces, k=spec.k, side=table.side,
+                   threshold=edge_threshold_constants(spec)[1],
+                   point_contact=point_contact)
+
+
+@dataclass
+class _Level:
+    """One level-m graph as the lift builds it: CSR, cells and components."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    corners: np.ndarray
+    grid: np.ndarray
+    labels: np.ndarray | None  # component of each vertex; None when unneeded
+    parts: int
+
+
+def _point(grid: bool) -> _Level:
+    """Level 0: one cell, the unit cube, with no edges."""
+    return _Level(np.zeros(2, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                  np.zeros((1, 3), dtype=np.int64), np.array([grid]),
+                  np.zeros(1, dtype=np.int64), 1)
+
+
+def _lift(d: _Digits, m: int, levels: tuple[_Level, ...], which: np.ndarray,
+          labels: bool) -> _Level:
+    """Level m from N level-(m-1) blocks: block b is a copy of ``levels[which[b]]``.
+
+    Block b holds the cells ``k^(m-1) * d.corners[b] + sub.corners`` with grid
+    flags ``d.grid[b] & sub.grid``.  Blocks have disjoint interiors, so two
+    cells of different blocks touch only where both touch the boundary of
+    their block, on a face towards a block that meets the other one.
+    ``_adjacency`` runs on those cells alone and keeps the pairs that cross
+    blocks.  Row u of block b then reads [cross neighbours before block b,
+    the copied row shifted by b*N^(m-1), cross neighbours after block b];
+    each part is sorted, so they merge without a sort.  The components are
+    those of the quotient whose nodes are the block components, joined by
+    the cross edges.
+    """
+    size, blocks = len(levels[0].corners), len(which)
+    count = blocks * size
+    sub_scale = d.k ** (m - 1) * d.side
+    shift = d.corners * d.k ** (m - 1)
+    sub_corners = levels[0].corners
+    sub_grid = np.stack([g.grid for g in levels])[which]  # (blocks, size)
+    cell_faces = np.concatenate([sub_corners == 0, sub_corners + d.side == sub_scale],
+                                axis=1)
+    on_face = np.flatnonzero(cell_faces.any(axis=1))
+    block, cell = np.nonzero((d.faces[:, None, :] & cell_faces[on_face]).any(axis=2))
+    cell = on_face[cell]
+    cand_ptr, cand_idx = _adjacency(shift[block] + sub_corners[cell], d.side,
+                                    d.grid[block] & sub_grid[block, cell],
+                                    d.threshold, d.point_contact)
+    # candidates are in global order, so the cross entries stay row-major sorted
+    glob = block * size + cell
+    src = np.repeat(np.arange(len(glob)), np.diff(cand_ptr))
+    cross = block[src] != block[cand_idx]
+    rows, cols = glob[src[cross]], glob[cand_idx[cross]]
+
+    indptr = np.zeros(count + 1, dtype=np.int64)
+    np.cumsum(np.stack([np.diff(g.indptr) for g in levels])[which], out=indptr[1:])
+    before = cols < rows - rows % size
+    pos = np.arange(len(cols)) + np.where(before, indptr[rows], indptr[rows + 1])
+    indptr[1:] += np.cumsum(np.bincount(rows, minlength=count))
+    indices = np.empty(int(indptr[-1]), dtype=np.int64)
+    indices[pos] = cols
+    copied = np.ones(len(indices), dtype=bool)
+    copied[pos] = False
+    for b in range(blocks):
+        lo, hi = indptr[b * size], indptr[(b + 1) * size]
+        segment = indices[lo:hi]
+        segment[copied[lo:hi]] = levels[which[b]].indices + b * size
+
+    parts = np.array([g.parts for g in levels])[which]
+    first = np.zeros(blocks, dtype=np.int64)  # first quotient node of each block
+    np.cumsum(parts[:-1], out=first[1:])
+    local = np.stack([g.labels for g in levels])
+
+    def node(u):
+        b, r = np.divmod(u, size)
+        return first[b] + local[which[b], r]
+
+    quotient = csr_matrix((np.ones(len(rows), dtype=np.int8), (node(rows), node(cols))),
+                          shape=(int(parts.sum()),) * 2)
+    ncomp, qlabels = connected_components(quotient, directed=False)
+    return _Level(indptr, indices,
+                  (shift[:, None, :] + sub_corners).reshape(-1, 3),
+                  (d.grid[:, None] & sub_grid).ravel(),
+                  qlabels[node(np.arange(count))] if labels else None, int(ncomp))
+
+
 def build_graph(
     spec: IfsSpec,
     n: int,
     *,
     point_contact_edges: bool = True,
     max_vertices: int = 500_000,
-    check_connected: bool = True,
 ) -> CellGraph:
     """Build the level-n cell graph.
 
@@ -267,29 +383,39 @@ def build_graph(
     their cubes share an exact full face; other pairs are adjacent iff their
     contact is a point (when ``point_contact_edges``) or a segment/rectangle
     whose measure exceeds the threshold C*k^-n / C*k^-2n.
+
+    G_n is lifted from G_(n-1), down to the one-cell level 0 (``_lift``):
+    level-1 block b holds a copy of G_(n-1) when digit b touches the cube
+    boundary and of G'_(n-1) otherwise.  G' is the same recursion with every
+    grid flag false; only specs with interior digits build it.  Raises
+    :class:`SpecError` when two cells overlap (decided at level 1) or G_n is
+    disconnected.
     """
     check_budget(spec, n, max_vertices)
-    _, threshold = edge_threshold_constants(spec)
-    corners, scale, side = _scaled_geometry(spec, n)
-    grid = _grid_flags(spec, n)
-    indptr, indices = _adjacency(corners, side, grid, threshold, point_contact_edges)
-    graph = CellGraph(
+    d = _digits(spec, point_contact_edges)
+    g, g_prime = _point(True), _point(False)
+    mixed = not d.grid.all()
+    for m in range(1, n + 1):
+        labels = m < n
+        g_next = _lift(d, m, (g, g_prime) if mixed else (g,),
+                       (~d.grid).astype(np.intp), labels)
+        if mixed and labels:
+            g_prime = _lift(d, m, (g_prime,), np.zeros(spec.N, dtype=np.intp), labels)
+        g = g_next
+    if g.parts != 1:
+        raise SpecError(f"level-{n} cell graph is disconnected ({g.parts} parts)")
+    return CellGraph(
         spec=spec,
         n=n,
-        indptr=indptr,
-        indices=indices,
-        corners=corners,
-        scale=scale,
-        side_scaled=side,
-        grid_word=grid,
-        threshold=threshold,
+        indptr=g.indptr,
+        indices=g.indices,
+        corners=g.corners,
+        scale=spec.k**n * d.side,
+        side_scaled=d.side,
+        grid_word=g.grid,
+        threshold=d.threshold,
         point_contact_edges=point_contact_edges,
     )
-    if check_connected and n >= 1:
-        ncomp, _ = connected_components(graph.adjacency(), directed=False)
-        if ncomp != 1:
-            raise SpecError(f"level-{n} cell graph is disconnected ({ncomp} parts)")
-    return graph
 
 
 # ---------------------------------------------------------------------------

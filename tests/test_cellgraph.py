@@ -5,11 +5,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 import carpetlab as cl
+import carpetlab.cellgraph as cellgraph
 from carpetlab.cellgraph import (
     BudgetError,
+    _adjacency,
     _bfs_depths,
+    _scaled_geometry,
     bottom_face_prefixes,
     build_graph,
     build_wall,
@@ -25,8 +30,10 @@ from carpetlab.cellgraph import (
 from carpetlab.geometry import (
     IfsSpec,
     SpecError,
+    _pair_table,
     axis_reflection,
     cell_box,
+    edge_threshold_constants,
 )
 from geometry_oracles import adapted_audit, box_intersection, fold_word
 
@@ -275,12 +282,100 @@ def test_export_adjacency_matches_json_dumps(name, n):
     assert export_adjacency_json(g).encode() == want.encode()
 
 
+def direct_graph(spec, n, point_contact=True):
+    """(indptr, indices, corners, grid) from ``_adjacency`` on all N^n cells.
+
+    The oracle of the lifted build: a word is a grid word iff every digit
+    touches the cube boundary.
+    """
+    corners, _, side = _scaled_geometry(spec, n)
+    table = _pair_table(spec)
+    top = table.scale - table.side
+    digit_grid = ((table.corners == 0) | (table.corners == top)).any(axis=1)
+    words = np.arange(spec.N**n)
+    grid = np.ones(len(words), dtype=bool)
+    for j in range(n):
+        grid &= digit_grid[words // spec.N ** (n - 1 - j) % spec.N]
+    _, threshold = edge_threshold_constants(spec)
+    return (*_adjacency(corners, side, grid, threshold, point_contact), corners, grid)
+
+
+@pytest.mark.parametrize("name,n", [
+    ("carpet26", 0), ("carpet26", 1), ("carpet26", 2), ("carpet26", 3),
+    ("menger", 1), ("menger", 2), ("menger", 3), ("offgrid158", 1), ("offgrid158", 2),
+])
+@pytest.mark.parametrize("point_contact", [True, False])
+def test_lifted_graph_matches_direct_build(name, n, point_contact):
+    g = build_graph(cl.builtin_spec(name), n, point_contact_edges=point_contact)
+    want = direct_graph(g.spec, n, point_contact)
+    for got, ref in zip((g.indptr, g.indices, g.corners, g.grid_word), want):
+        assert got.dtype == ref.dtype
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("name,n", [("carpet26", 3), ("offgrid158", 2)])
+def test_lift_never_sees_the_whole_level(monkeypatch, name, n):
+    # the pair classifier and the component count only see candidate cells
+    # and the quotient of the block components, never all N^n cells
+    sizes = []
+
+    def adjacency(corners, *args):
+        sizes.append(len(corners))
+        return _adjacency(corners, *args)
+
+    def components(graph, **kwargs):
+        sizes.append(graph.shape[0])
+        return connected_components(graph, **kwargs)
+
+    monkeypatch.setattr(cellgraph, "_adjacency", adjacency)
+    monkeypatch.setattr(cellgraph, "connected_components", components)
+    spec = cl.builtin_spec(name)
+    build_graph(spec, n)
+    assert sizes and max(sizes) < spec.N**n
+
+
+# level-1 cells of k = 3 specs, corners in units of 1/3
+THIRDS = {
+    # a face pair plus an isolated far cell
+    "split": ((0, 0, 0), (1, 0, 0), (2, 2, 2)),
+    # point contacts only at the origin cell; the centre is an interior digit
+    "points": ((0, 0, 0), (1, 1, 1), (1, 2, 1), (2, 1, 2)),
+    # four level-1 parts, whose copies the cross edges join part by part
+    "scatter": ((0, 0, 2), (0, 1, 2), (0, 2, 1), (0, 2, 2), (1, 2, 2), (2, 0, 0),
+                (2, 0, 2), (2, 1, 2), (2, 2, 0)),
+}
+
+
+def thirds_spec(name):
+    cells = tuple(tuple(F(c, 3) for c in cell) for cell in THIRDS[name])
+    return IfsSpec(name=name, k=3, cells=cells)
+
+
 def test_connectivity_enforced():
-    # a face pair plus an isolated far cell: the level-1 build must reject it
-    cells = ((F(0), F(0), F(0)), (F(1, 3), F(0), F(0)), (F(2, 3), F(2, 3), F(2, 3)))
-    spec = IfsSpec(name="split", k=3, cells=cells)
+    # the level-1 build must reject the split spec
     with pytest.raises(SpecError, match="disconnected"):
-        build_graph(spec, 1)
+        build_graph(thirds_spec("split"), 1)
+
+
+@pytest.mark.parametrize("name,n,parts", [
+    ("split", 1, 2), ("split", 2, 6), ("split", 3, 18), ("points", 1, 1),
+    ("points", 2, 2), ("points", 3, 8), ("scatter", 1, 4), ("scatter", 2, 28),
+    ("scatter", 3, 237),
+])
+def test_part_count_matches_direct_build(name, n, parts):
+    # the lift counts parts through the block components; the inner levels
+    # report theirs instead of raising
+    spec = thirds_spec(name)
+    indptr, indices, _, _ = direct_graph(spec, n)
+    v = len(indptr) - 1
+    adjacency = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(v, v))
+    assert connected_components(adjacency, directed=False)[0] == parts
+    if parts == 1:
+        assert np.array_equal(build_graph(spec, n).indices, indices)
+        return
+    with pytest.raises(SpecError) as info:
+        build_graph(spec, n)
+    assert str(info.value) == f"level-{n} cell graph is disconnected ({parts} parts)"
 
 
 def overlapping_carpet26():
@@ -293,6 +388,13 @@ def overlapping_carpet26():
 def test_overlapping_cells_are_reported():
     with pytest.raises(SpecError) as info:
         build_graph(overlapping_carpet26(), 1)
+    assert str(info.value) == "cells overlap with positive volume; spec is invalid"
+
+
+def test_overlap_is_reported_at_level_2():
+    # overlap is decided at level 1 and on the cross candidates alone
+    with pytest.raises(SpecError) as info:
+        build_graph(overlapping_carpet26(), 2)
     assert str(info.value) == "cells overlap with positive volume; spec is invalid"
 
 
