@@ -125,9 +125,13 @@ def orbit_symmetrize(graph: CellGraph, f: np.ndarray, axis: int) -> np.ndarray:
 
 def _pinned_harmonic(graph: CellGraph, zero_mask, one_mask, axis: int,
                      opts: SolveOptions) -> np.ndarray:
-    """Energy minimizer with the given 0/1 boundary data, symmetrized about ``axis``."""
+    """Energy minimizer with the given 0/1 boundary data, symmetrized about ``axis``.
+
+    The minimizer takes values in [0, 1] (maximum principle), so the solver's
+    rounding outside that range is clipped away.
+    """
     f = effective_resistance(graph, zero_mask, one_mask, opts).potential
-    f = orbit_symmetrize(graph, f, axis)
+    f = np.clip(orbit_symmetrize(graph, f, axis), 0.0, 1.0)
     f[zero_mask] = 0.0
     f[one_mask] = 1.0
     return f

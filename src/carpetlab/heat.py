@@ -19,7 +19,7 @@ import scipy.sparse.linalg as spla
 
 from .cellgraph import CellGraph, _bfs_depths, build_graph
 from .geometry import SpecError
-from .spectral import SolveOptions, DEFAULT_OPTS, _solve_pd, dirichlet_energy
+from .spectral import SolveOptions, DEFAULT_OPTS, _dot, _solve_pd, dirichlet_energy
 from .walks import WalkKernel, lazy_kernel
 
 
@@ -317,7 +317,7 @@ def ball_checks(graph: CellGraph, pi: np.ndarray, d_h: float, d_w: float,
             support = np.flatnonzero(psi)
             at, nbr = _csr_entries(graph, support)
             diff = psi[support][at] - psi[nbr]
-            energy = float(diff**2 @ np.where(psi[nbr] == 0.0, 2.0, 1.0))
+            energy = _dot(diff**2, np.where(psi[nbr] == 0.0, 2.0, 1.0))
             cap = energy / r ** (d_h - d_w)
             rows.append({
                 "center": int(c), "radius": int(r), "tent_level": m,

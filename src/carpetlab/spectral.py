@@ -54,6 +54,11 @@ def _edge_arrays(graph) -> tuple[np.ndarray, np.ndarray]:
     return u, graph.indices
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product as numpy's pairwise sum, the same at any BLAS thread count."""
+    return float(np.add.reduce(a * b))
+
+
 def dirichlet_energy(graph, f: np.ndarray, subset: np.ndarray | None = None) -> float:
     """Ordered-pair graph energy of f (each edge counted twice)."""
     u, v = _edge_arrays(graph)
@@ -61,7 +66,7 @@ def dirichlet_energy(graph, f: np.ndarray, subset: np.ndarray | None = None) -> 
         keep = subset[u] & subset[v]
         u, v = u[keep], v[keep]
     d = f[u] - f[v]
-    return float(d @ d)
+    return _dot(d, d)
 
 
 def laplacian(graph, subset: np.ndarray | None = None) -> sp.csr_matrix:
@@ -74,32 +79,49 @@ def laplacian(graph, subset: np.ndarray | None = None) -> sp.csr_matrix:
     return (2.0 * (sp.diags(deg) - adj)).tocsr()
 
 
-def _solve_pd(L: sp.spmatrix, b: np.ndarray, opts: SolveOptions, project=None):
-    """Jacobi-PCG for L x = b to relative residual opts.tol; raises otherwise.
+def _solve_pd(A: sp.spmatrix, b: np.ndarray, opts: SolveOptions, M=None):
+    """PCG for A x = b to relative residual opts.tol; raises SolverError otherwise.
 
-    With ``project`` (onto a subspace that L maps into itself) CG runs on
-    that subspace, where L need only be positive semidefinite.
+    ``M`` is a :func:`_word_prefix_preconditioner` of A (Jacobi by default).
+    When every row of A sums to zero, as for a Laplacian, PCG runs on the
+    mean-free subspace, which A maps into itself and where A need only be
+    positive semidefinite: b and every preconditioned residual are projected
+    onto it.  Inner products are :func:`_dot`, so x does not depend on the
+    BLAS thread count.
     """
-    p = project if project is not None else (lambda v: v)
-    inv = 1.0 / L.diagonal()
-    steps = []
-    A = spla.LinearOperator(L.shape, matvec=lambda v: p(L @ p(v)))
-    M = spla.LinearOperator(L.shape, matvec=lambda v: p(inv * v))
-    x, code = spla.cg(A, b, rtol=opts.tol, maxiter=MAXITER, M=M,
-                      callback=lambda _: steps.append(1))
-    x = p(x)
-    res = np.linalg.norm(L @ x - b) / max(np.linalg.norm(b), 1e-300)
-    if code != 0 or not res <= 1e-6:
-        raise SolverError(f"CG failed to converge (code {code}, residual {res})")
-    return x, SolveInfo("pcg", len(steps), float(res))
+    M = M if M is not None else _word_prefix_preconditioner(A)
+    if not (A @ np.ones(A.shape[0])).any():
+        b = b - b.mean()
+        apply = lambda r: (z := M(r)) - z.mean()
+    else:
+        apply = M
+    bnorm = math.sqrt(_dot(b, b))
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = apply(r)
+    p, rz = z, _dot(r, z)
+    stop = opts.tol * bnorm
+    steps = 0
+    while math.sqrt(_dot(r, r)) > stop and steps < MAXITER:
+        q = A @ p
+        alpha = rz / _dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        z = apply(r)
+        rz_old, rz = rz, _dot(r, z)
+        p = z + (rz / rz_old) * p
+        steps += 1
+    e = A @ x - b
+    res = math.sqrt(_dot(e, e)) / max(bnorm, 1e-300)
+    if math.sqrt(_dot(r, r)) > stop or not res <= 1e-6:
+        raise SolverError(f"CG failed to converge ({steps} iterations, residual {res})")
+    return x, SolveInfo("pcg", steps, float(res))
 
 
-def _solve_singular_psd(L: sp.csr_matrix, b: np.ndarray, opts: SolveOptions):
-    """Solve L x = b for b orthogonal to constants (x returned mean-free).
-
-    Any solution works for quadratic-form values v.L+ v since v is deflated too.
-    """
-    return _solve_pd(L, b - b.mean(), opts, project=lambda v: v - v.mean())
+def _solve_free(L: sp.csr_matrix, keep: np.ndarray, b: np.ndarray, graph, opts: SolveOptions):
+    """Solve L[keep][:, keep] x = b, preconditioned on the free vertices ``keep``."""
+    A = L[keep][:, keep]
+    return _solve_pd(A, b, opts, _word_prefix_preconditioner(A, graph, keep))
 
 
 # ---------------------------------------------------------------------------
@@ -125,18 +147,15 @@ def poincare_constant(graph, opts: SolveOptions = DEFAULT_OPTS) -> PoincareResul
     size = L.shape[0]
     if size < 2:
         raise SpecError("the Poincare constant needs a graph with at least 2 vertices")
-    if size - 1 < 5:  # lobpcg wants 5 unconstrained dimensions per block vector
+    if size - 1 < 5:  # a dense solve is exact and cheap on so few vertices
         return _dense_poincare(L)
     tol = opts.tol * 2.0 * float(L.diagonal().max())
-    vals, vecs, history = spla.lobpcg(
-        L, np.random.default_rng(0).standard_normal((size, 1)),
-        M=_word_prefix_preconditioner(L, graph.spec.N, graph.n), Y=np.ones((size, 1)),
-        tol=tol, maxiter=MAXITER, largest=False, retResidualNormsHistory=True)
-    gap, vec = float(vals[0]), vecs[:, 0]
-    res = float(np.linalg.norm(L @ vec - gap * vec))
-    if gap <= 0 or res > tol:
+    gap, vec, steps = _lobpcg(L, _word_prefix_preconditioner(L, graph), tol)
+    e = L @ vec - gap * vec
+    res = math.sqrt(_dot(e, e))
+    if gap <= 0 or not res <= tol:
         raise SolverError(f"LOBPCG failed (gap {gap}, residual {res}); disconnected?")
-    return PoincareResult(1.0 / gap, gap, SolveInfo("lobpcg", len(history), res / gap))
+    return PoincareResult(1.0 / gap, gap, SolveInfo("lobpcg", steps, res / gap))
 
 
 def _dense_poincare(L: sp.csr_matrix) -> PoincareResult:
@@ -145,37 +164,95 @@ def _dense_poincare(L: sp.csr_matrix) -> PoincareResult:
     return PoincareResult(1.0 / gap, gap, SolveInfo("eigh", 1, 0.0))
 
 
-def _word_prefix_preconditioner(L: sp.csr_matrix, N: int, n: int):
-    """M^-1 r = D^-1 r + sum_m P_m A_m^-1 P_m^T r, word lengths m in {n-2, n-1}.
+def _lobpcg(L: sp.csr_matrix, M, tol: float):
+    """Lowest eigenpair of L against the constants: LOBPCG with block size 1.
 
-    P_m is constant on each level-m block, the contiguous index range of a
-    word prefix; A_m = P_m^T L P_m, shifted by 1e-10 max diag off
-    singularity, is the only matrix factorized (N^m unknowns).  A failed
-    factorization (SuperLU out of memory at large N^m) raises SolverError.
+    Each step is Rayleigh-Ritz on span(x, w, p): the iterate, its mean-free
+    preconditioned residual w = M(Lx - lam x) and the previous search
+    direction, orthonormalized by two Gram-Schmidt passes (a direction that
+    falls into the span of the others is dropped).  The images under L ride
+    along, so one step costs one product with L.  Stops once
+    ||Lx - lam x|| <= tol for the unit x, or after MAXITER steps.
     """
-    inv = 1.0 / L.diagonal()
-    coo = L.tocoo()
+    x = np.random.default_rng(0).standard_normal(L.shape[0])
+    x -= x.mean()
+    x /= math.sqrt(_dot(x, x))
+    Lx, p, Lp = L @ x, None, None
+    for steps in range(MAXITER + 1):
+        lam = _dot(x, Lx)
+        r = Lx - lam * x
+        if steps == MAXITER or math.sqrt(_dot(r, r)) <= tol:
+            return lam, x, steps
+        w = M(r)
+        w -= w.mean()
+        basis, images = [x], [Lx]
+        for v, Lv in ((w, None), (p, Lp)):
+            if v is None:
+                continue
+            before = math.sqrt(_dot(v, v))
+            for _ in range(2):
+                for u, Lu in zip(basis, images):
+                    c = _dot(u, v)
+                    v = v - c * u
+                    if Lv is not None:
+                        Lv = Lv - c * Lu
+            nrm = math.sqrt(_dot(v, v))
+            if not nrm > 1e-10 * before:
+                continue
+            v = v / nrm
+            basis.append(v)
+            images.append(L @ v if Lv is None else Lv / nrm)
+        if len(basis) == 1:
+            return lam, x, steps
+        gram = np.array([[_dot(u, Lv) for Lv in images] for u in basis])
+        c = np.linalg.eigh(0.5 * (gram + gram.T))[1][:, 0]
+        p = sum(ci * v for ci, v in zip(c[1:], basis[1:]))
+        Lp = sum(ci * Lv for ci, Lv in zip(c[1:], images[1:]))
+        x, Lx = c[0] * x + p, c[0] * Lx + Lp
+        scale = 1.0 / math.sqrt(_dot(x, x))
+        x, Lx = x * scale, Lx * scale
+        scale = 1.0 / math.sqrt(_dot(p, p))
+        p, Lp = p * scale, Lp * scale
+
+
+def _word_prefix_preconditioner(A: sp.spmatrix, graph=None, keep: np.ndarray | None = None):
+    """M(r) = D^-1 r + sum_m P_m A_m^-1 P_m^T r, word lengths m in {n-2, n-1}, m >= 1.
+
+    The unknowns of A are the vertices ``keep`` (sorted; all by default) of
+    the level-n ``graph``.  P_m is constant on each aggregate, the free
+    vertices of one level-m word-prefix block, a contiguous run of unknowns:
+    np.add.reduceat restricts, np.repeat prolongs.  A_m = P_m^T A P_m,
+    shifted by 1e-10 max diag off singularity, is the only matrix
+    factorized.  A level-1 graph has no coarse level, and without a graph
+    (unknowns that are not word-indexed) M is Jacobi.  A failed factorization
+    (SuperLU out of memory at large N^m) raises SolverError.
+    """
+    inv = 1.0 / A.diagonal()
+    n = graph.n if graph is not None else 1
+    idx = np.arange(A.shape[0]) if keep is None else keep
     coarse = []
     for m in range(max(1, n - 2), n):
-        bs = N ** (n - m)
-        A = sp.csc_matrix((coo.data, (coo.row // bs, coo.col // bs)),
-                          shape=(N**m, N**m))
-        A = A + 1e-10 * A.diagonal().max() * sp.identity(N**m, format="csc")
+        block = idx // graph.spec.N ** (n - m)
+        first = np.r_[True, block[1:] != block[:-1]]
+        starts = np.flatnonzero(first)
+        size = len(starts)
+        P = sp.csr_matrix((np.ones(len(idx)), np.cumsum(first) - 1, np.arange(len(idx) + 1)),
+                          shape=(len(idx), size))
+        C = (P.T @ (A @ P)).tocsc()
+        C = C + 1e-10 * C.diagonal().max() * sp.identity(size, format="csc")
         try:
-            coarse.append((bs, spla.splu(A)))
+            coarse.append((starts, np.diff(np.r_[starts, len(idx)]), spla.splu(C)))
         except (SystemError, RuntimeError, MemoryError) as exc:
             raise SolverError(
-                f"coarse factorization with {N**m} unknowns failed: {exc}") from exc
+                f"coarse factorization with {size} unknowns failed: {exc}") from exc
 
-    def matmat(R):
-        R = np.asarray(R).reshape(L.shape[0], -1)
-        out = inv[:, None] * R
-        for bs, lu in coarse:
-            sums = R.reshape(-1, bs, R.shape[1]).sum(axis=1)
-            out += np.repeat(lu.solve(sums), bs, axis=0)
-        return out
+    def apply(r: np.ndarray) -> np.ndarray:
+        z = inv * r
+        for starts, counts, lu in coarse:
+            z += np.repeat(lu.solve(np.add.reduceat(r, starts)), counts)
+        return z
 
-    return spla.LinearOperator(L.shape, matvec=matmat, matmat=matmat)
+    return apply
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +290,7 @@ def effective_resistance(
     if free.any():
         L = laplacian(graph)
         keep = np.nonzero(free)[0]
-        rhs = -(L[keep] @ f)
-        x, info = _solve_pd(L[keep][:, keep], rhs, opts)
+        x, info = _solve_free(L, keep, -(L[keep] @ f), graph, opts)
         f[keep] = x
     energy = dirichlet_energy(graph, f)
     if energy <= 0:
@@ -323,8 +399,8 @@ def sigma_pair(
     a = np.zeros(len(keep))
     a[np.searchsorted(keep, np.arange(lo1, hi1))] = 1.0 / bs
     a[np.searchsorted(keep, np.arange(lo2, hi2))] = -1.0 / bs
-    x, info = _solve_singular_psd(L, a, opts)
-    value = graph.spec.N**m * float(a @ x)
+    x, info = _solve_pd(L, a, opts, _word_prefix_preconditioner(L, graph, keep))
+    value = graph.spec.N**m * _dot(a, x)
     return {
         "value": value,
         "maximizer": x,
@@ -395,6 +471,7 @@ def face_gap_constants(
     normalized indicator v.
     """
     L = laplacian(graph)
+    M = _word_prefix_preconditioner(L, graph)
     out = {}
     f10 = graph.face_set(0, 0)
     for key, other in (("adjacent", graph.face_set(1, 0)),
@@ -402,8 +479,8 @@ def face_gap_constants(
         v = np.zeros(graph.num_vertices)
         v[f10] += 1.0 / f10.sum()
         v[other] -= 1.0 / other.sum()
-        x, info = _solve_singular_psd(L, v, opts)
-        out[key] = float(v @ x)
+        x, info = _solve_pd(L, v, opts, M)
+        out[key] = _dot(v, x)
         out[f"{key}_info"] = info
     return out
 
@@ -426,8 +503,8 @@ def pinned_face_gap(
     L = laplacian(graph)
     keep = np.nonzero(free)[0]
     a = a_full[keep]
-    x, info = _solve_pd(L[keep][:, keep], a, opts)
-    return {"value": float(a @ x), "info": info}
+    x, info = _solve_free(L, keep, a, graph, opts)
+    return {"value": _dot(a, x), "info": info}
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@ import scipy.sparse as sp
 
 from .cellgraph import CellGraph, WallGraph, walk_measure
 from .geometry import SpecError
-from .spectral import SolveOptions, DEFAULT_OPTS, SolveInfo, _solve_pd
+from .spectral import (SolveOptions, DEFAULT_OPTS, SolveInfo, _solve_pd,
+                       _word_prefix_preconditioner)
 
 
 @dataclass
@@ -242,10 +243,20 @@ class HittingReport:
 
 def mean_hitting(kernel: WalkKernel, target: np.ndarray,
                  opts: SolveOptions = DEFAULT_OPTS) -> HittingReport:
-    """Expected steps to reach ``target`` from every state (killed solve)."""
+    """Expected steps to reach ``target`` from every state (killed solve).
+
+    The target must meet every component of the kernel's graph, or some
+    hitting time is infinite (SpecError); a solve that fails to converge
+    raises SolverError.
+    """
     target = np.asarray(target, dtype=bool)
     if not target.any():
         raise SpecError("hitting target must be nonempty")
+    _, part = sp.csgraph.connected_components(kernel.P, directed=False)
+    hit = np.zeros(part.max() + 1, dtype=bool)
+    hit[part[target]] = True
+    if not hit[part].all():
+        raise SpecError("hitting target is unreachable from some states")
     h = np.zeros(kernel.num_states)
     free = ~target
     if free.any():
@@ -253,11 +264,14 @@ def mean_hitting(kernel: WalkKernel, target: np.ndarray,
         keep = np.nonzero(free)[0]
         pi = kernel.pi[keep].astype(np.float64)
         A = (sp.diags(pi) @ (sp.identity(len(keep)) - kernel.P[keep][:, keep])).tocsr()
-        try:
-            x, info = _solve_pd(A, pi, opts)
-        except RuntimeError as exc:
-            raise SpecError("hitting system is singular; target unreachable") from exc
-        h[keep] = x
+        M = _word_prefix_preconditioner(A, kernel.graph, keep)
+        x, first = _solve_pd(A, pi, opts, M)
+        # h runs from 1 next to the target to thousands far from it: one
+        # refinement solve on the true residual carries opts.tol to the small values
+        fix, second = _solve_pd(A, pi - A @ x, opts, M)
+        h[keep] = x + fix
+        info = SolveInfo("pcg", first.iterations + second.iterations,
+                         first.residual * second.residual)
     else:
         info = SolveInfo("pinned", 0, 0.0)
     return HittingReport(target=target, exact=h, info=info)

@@ -67,6 +67,8 @@ def lab(spec26):
 class ToyGraph:
     """Minimal graph object (CSR edges) for solver unit tests."""
 
+    n = 1  # a level-1 graph: no coarse word level, so its solves use Jacobi
+
     def __init__(self, n, edges):
         import scipy.sparse as sp
 

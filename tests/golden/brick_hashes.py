@@ -4,10 +4,11 @@ For each ramp, boundary-linear function and cut-off the script hashes the
 reduced ``p/q`` strings of every exact value (through the ``values_exact``
 serializer), the float ``values`` and the domain, and records the energy,
 the energy ladder, the certificates and, for boundary-linear functions, the
-region coherence report.  The committed ``brick_hashes.json`` was written by
-this script on the commit that still kept one ``Fraction`` per vertex;
-``tests/test_golden.py`` recomputes the hashes with the current code and
-compares them.
+region coherence report.  The committed ``brick_hashes.json`` was last
+written by this script when the solvers moved to the in-repo PCG with the
+word-prefix preconditioner, whose inner products do not depend on the BLAS
+thread count; ``tests/test_golden.py`` recomputes the hashes with the
+current code and compares them.
 
     PYTHONPATH=src python tests/golden/brick_hashes.py [--out FILE]
 """

@@ -358,3 +358,29 @@ def test_import_boundary(config26, tmp_path):
         [sys.executable, "-c", IMPORT_BOUNDARY, config26, str(tmp_path / "b")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+GAP_FAILURE = """
+import sys
+import carpetlab.spectral as spectral
+from carpetlab.cli import main
+spectral.MAXITER = 1
+sys.exit(main(["--spec", sys.argv[1], "--out", sys.argv[2],
+               "constants", "--levels", "2", "--quantities", "lambda"]))
+"""
+
+
+def test_gap_solver_failure_prints_one_line(config26, tmp_path):
+    # a fresh process, so a warning printed by the solver would show on stderr
+    import subprocess
+    import sys
+
+    import carpetlab
+
+    src = os.path.dirname(os.path.dirname(carpetlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", GAP_FAILURE, config26, str(tmp_path / "g")],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: LOBPCG") and proc.stderr.count("\n") == 1, proc.stderr

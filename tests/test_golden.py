@@ -259,3 +259,40 @@ def test_diagonal_demo_still_rejected():
         with pytest.raises(SpecError,
                            match="no cell pair with a positive intersection projection"):
             build_graph(spec, 1, point_contact_edges=point_contact)
+
+
+THREAD_RUN = """
+import json, sys
+from carpetlab.cli import main
+sys.path.insert(0, sys.argv[1])
+import brick_hashes
+assert main(["--spec", "carpet26.json", "--out", "runs", "constants", "--levels", "1..3",
+             "--quantities", "lambda,r_face,script_r,r_bar"]) == 0
+print(json.dumps(brick_hashes.compute("carpet26/ramp/n3"), sort_keys=True))
+"""
+
+
+def test_artifacts_independent_of_blas_threads(tmp_path):
+    # the solvers' inner products are numpy pairwise sums, not BLAS dot
+    # products, so the floats come out the same at any OpenBLAS thread count
+    import subprocess
+    import sys
+
+    import carpetlab
+
+    src = os.path.dirname(os.path.dirname(carpetlab.__file__))
+    seen = []
+    for threads in ("1", "2", "4"):
+        root = tmp_path / f"threads{threads}"
+        root.mkdir()
+        (root / "carpet26.json").write_text(carpetlab.builtin_config("carpet26"))
+        env = {**os.environ, "PYTHONPATH": src,
+               "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", THREAD_RUN, GOLDEN], cwd=root,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        artifacts = {p.name: p.read_bytes()
+                     for p in sorted((root / "runs").iterdir()) if p.is_file()}
+        assert "constants.csv" in artifacts
+        seen.append((proc.stdout, artifacts))
+    assert seen[0] == seen[1] == seen[2]

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from carpetlab.geometry import SpecError, axis_swap, isometry_group
-from carpetlab.cellgraph import word_permutation
+from carpetlab.cellgraph import neighborhood, word_permutation
 from carpetlab.spectral import (
     ConstantsTable,
     SolveOptions,
@@ -26,6 +27,7 @@ from carpetlab.spectral import (
     sigma_pair,
     sigma_supremum,
 )
+from carpetlab.walks import build_kernel, mean_hitting
 
 F = Fraction
 
@@ -121,6 +123,68 @@ def test_solvers_match_oracles(graph_of, name, n, kind):
     for key, other in (("adjacent", g.face_set(1, 0)), ("opposite", one)):
         v = zero / zero.sum() - other / other.sum()
         assert fg[key] == pytest.approx(_oracle_pinv_form(kind, L, v), rel=1e-8)
+
+
+# Pinned sets that are not faces: the word-prefix aggregates are restricted to
+# the free vertices, and some of them are wholly pinned.  splu is the oracle.
+PINNED_CASES = [("carpet26", 2), ("carpet26", 3), ("menger", 2), ("menger", 3),
+                ("offgrid158", 1), ("offgrid158", 2)]
+
+
+def _random_pinned(g, seed=7):
+    """Random vertices plus whole random aggregates of the finest coarse level."""
+    N = g.spec.N
+    rng = np.random.default_rng(seed)
+    whole = np.repeat(rng.random(g.num_vertices // N) < 0.1, N)
+    return whole | (rng.random(g.num_vertices) < 0.3), whole, rng
+
+
+def _oracle_potential(g, set_a, set_b):
+    L = laplacian(g)
+    f = set_b.astype(float)
+    free = ~(set_a | set_b)
+    f[free] = _oracle_solve("splu", L[free][:, free], -(L[free] @ f))
+    return f, 1.0 / (f @ (L @ f))
+
+
+def _check_resistance(g, set_a, set_b):
+    f, value = _oracle_potential(g, set_a, set_b)
+    res = effective_resistance(g, set_a, set_b)
+    assert res.value == pytest.approx(value, rel=1e-8)
+    assert np.abs(res.potential - f).max() <= 1e-8
+
+
+@pytest.mark.parametrize("name,n", PINNED_CASES)
+def test_resistance_block_against_outside_matches_splu(graph_of, name, n):
+    # as in build_cutoff: a level-1 block against the blocks beyond its ring
+    g = graph_of(name, n)
+    bs = g.spec.N ** (n - 1)
+    set_a = np.zeros(g.num_vertices, dtype=bool)
+    set_a[:bs] = True
+    set_b = np.repeat(~neighborhood(graph_of(name, 1), 0, 1), bs)
+    assert set_b.any()
+    _check_resistance(g, set_a, set_b)
+
+
+@pytest.mark.parametrize("name,n", [c for c in PINNED_CASES if c[1] > 1])
+def test_resistance_random_pinning_matches_splu(graph_of, name, n):
+    g = graph_of(name, n)
+    pinned, whole, rng = _random_pinned(g)
+    assert whole.any() and not pinned.all()
+    set_a = pinned & (rng.random(g.num_vertices) < 0.5)
+    _check_resistance(g, set_a, pinned & ~set_a)
+
+
+@pytest.mark.parametrize("name,n", PINNED_CASES)
+def test_mean_hitting_random_target_matches_splu(graph_of, name, n):
+    g = graph_of(name, n)
+    target, _, _ = _random_pinned(g, seed=11)
+    k = build_kernel(g)
+    A = sp.identity(int((~target).sum())) - k.P[~target][:, ~target]
+    h = _oracle_solve("splu", A, np.ones(A.shape[0]))
+    rep = mean_hitting(k, target)
+    assert np.all(np.abs(rep.exact[~target] - h) <= 1e-8 * h)
+    assert (rep.exact[target] == 0).all()
 
 
 def test_resistance_toy_values(toy):
@@ -248,7 +312,7 @@ def test_face_gap_swap_invariance(lab):
     v[f20] -= 1 / f20.sum()
     vp = np.zeros(26)
     vp[perm] = v
-    from carpetlab.spectral import _solve_singular_psd
+    from carpetlab.spectral import _solve_pd as _solve_singular_psd
 
     x, _ = _solve_singular_psd(L, vp, SolveOptions())
     assert vp @ x == pytest.approx(fg["adjacent"], rel=1e-9)

@@ -10,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from carpetlab.cellgraph import build_graph, build_wall
-from carpetlab.geometry import SpecError
+from carpetlab.geometry import SolverError, SpecError
 from carpetlab.spectral import dirichlet_energy
 from carpetlab.walks import (
     WalkKernel,
@@ -314,6 +314,23 @@ def mean_hitting_exact_rational(kernel: WalkKernel, target: np.ndarray,
     for g, i in pos.items():
         out[g] = sol[i]
     return out
+
+
+def test_mean_hitting_unreachable_target_is_a_spec_error():
+    # two 2-cycles: the target sits in one, so the other never reaches it
+    P = sp.csr_matrix(np.kron(np.eye(2), [[0.0, 1.0], [1.0, 0.0]]))
+    k = WalkKernel(kind="lazy", n=0, m=None, P=P, pi=np.ones(4), dens=None)
+    with pytest.raises(SpecError, match="unreachable"):
+        mean_hitting(k, np.array([True, False, False, False]))
+    assert mean_hitting(k, np.array([True, False, True, False])).exact.tolist() == [0, 1, 0, 1]
+
+
+def test_mean_hitting_solver_failure_is_a_solver_error(lab, monkeypatch):
+    import carpetlab.spectral as spectral
+
+    monkeypatch.setattr(spectral, "MAXITER", 1)
+    with pytest.raises(SolverError):
+        mean_hitting(lab.kernel(2), lab.graph(2).face_set(0, 0))
 
 
 def test_mean_hitting_rational_oracle(lab):
